@@ -30,7 +30,7 @@ import numpy as np
 from . import metrics
 from .bounds import BoundParams, redistribution_variability_lower_bound
 from .config import ConfigError, parse_config
-from .dynamics import PopulationState, run, simulate
+from .dynamics import PopulationState, run, trajectory
 from .experiments import (
     AmbiguousProbeError,
     BracketError,
@@ -95,7 +95,7 @@ def cmd_simulate(args) -> int:
     wrote_header = False
     with open(out_path, "w", encoding="utf-8") as fh:
         try:
-            for pop, snap, records in run(config, threads=args.threads):
+            for pop, snap, records, _ in run(config):
                 if not wrote_header:
                     fh.write(_header(sorted(snap.tail_probs),
                                      [r.name for r in records]) + "\n")
@@ -144,13 +144,11 @@ def cmd_verify_bounds(args) -> int:
     saturation_failures: list[str] = []
     worst_se_ratio = 0.0
 
-    policy = config.build_policy()
-    prev_pop = None
-    prev_snap = None
+    prev_pop = prev_snap = prev_ab = None
     info_satisfied: dict[str, int] = {}
     info_total: dict[str, int] = {}
 
-    for pop, snap, records in run(config, threads=args.threads):
+    for pop, snap, records, now_ab in run(config):
         by_name = {r.name: r for r in records}
         for rec in records:
             if rec.name.startswith("saturation_"):
@@ -166,8 +164,7 @@ def cmd_verify_bounds(args) -> int:
                     info_satisfied[rec.name] = info_satisfied.get(rec.name, 0) + 1
 
         if prev_snap is not None:
-            a_prev, b_prev = policy.linear_coefficients(
-                prev_snap.t, prev_snap.mu, kernel)
+            a_prev, b_prev = prev_ab
 
             rec = by_name["cv_growth"]
             checked["cv_growth"] += 1
@@ -204,7 +201,7 @@ def cmd_verify_bounds(args) -> int:
                         f"t={snap.t} gini_growth: deficit {gap:.3e} exceeds "
                         f"tolerance {allowance:.3e}"
                     )
-        prev_pop, prev_snap = pop, snap
+        prev_pop, prev_snap, prev_ab = pop, snap, now_ab
 
     # Both growth recursions hold in expectation, so empirical dips are
     # sampling noise; a dip only counts when it clears its per-step SE
@@ -341,10 +338,8 @@ def cmd_verify_integrals(args) -> int:
     sections.append(("extremal_minimality", fields))
     passes.append(mini.all_passed)
 
-    snap_cfg = dataclasses.replace(config, steps=config.snapshot_step)
     pop = None
-    for pop in simulate(snap_cfg.build_initial(config.master_seed), kernel,
-                        snap_cfg.build_policy(), snap_cfg.steps, config.master_seed):
+    for pop, _ in trajectory(dataclasses.replace(config, steps=config.snapshot_step)):
         pass
     eps = config.delta_stripe / cal.gamma_inv
     gap_params = BoundParams(
@@ -466,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (never changes results)")
+                       help="accepted and ignored; every run is single-threaded")
         p.add_argument("--out", default=needs_out_default, help="output path")
 
     p = sub.add_parser("simulate", help="run a trajectory to CSV")

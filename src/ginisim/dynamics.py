@@ -16,19 +16,23 @@ Growth policies come in three modes:
 
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
-bit-identical trajectories at any thread count.
+bit-identical trajectories; the CLI's ``--threads`` flag is accepted and
+ignored.
+
+`trajectory` is the one loop from a RunConfig to measured rows; `run`
+adds the bound records and the coefficients on top of it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import streams
+from . import metrics, streams
+from .bounds import step_bound_report
 from .kernels import (
     DETERMINISTIC,
     LOGNORMAL,
@@ -130,7 +134,7 @@ def mean_evolution(mu: float, alpha: float, beta: float) -> float:
 
 
 def _general_step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-                  master_seed: int, executor) -> np.ndarray:
+                  master_seed: int) -> np.ndarray:
     x = pop.wealth
     mu = float(x.mean())
     g = float(policy.growth_schedule(pop.t))
@@ -156,7 +160,7 @@ def _general_step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy
             "nonnegative noise cannot realize that"
         )
     rel = np.divide(sd, means, out=np.zeros_like(sd), where=means > 0.0)
-    u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, x.size, executor)
+    u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, x.size)
     w = np.ones_like(x)
     pos = rel > 0.0
     w[pos] = unit_mean_noise(kernel.family, rel[pos], u[pos])
@@ -164,14 +168,14 @@ def _general_step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy
 
 
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-         master_seed: int, executor: ThreadPoolExecutor | None = None) -> PopulationState:
+         master_seed: int, _pool=None) -> PopulationState:
     """Advance the whole ensemble one time step.
 
-    Agent i's draw depends only on (master_seed, pop.t, i), so any
-    partitioning across threads gives identical output.
+    Agent i's draw depends only on (master_seed, pop.t, i).  A fifth
+    argument, once a thread pool, is accepted and ignored.
     """
     if policy.mode == GENERAL:
-        new = _general_step(pop, kernel, policy, master_seed, executor)
+        new = _general_step(pop, kernel, policy, master_seed)
         return PopulationState(new, pop.t + 1)
 
     alpha, beta = policy.linear_coefficients(pop.t, float(pop.wealth.mean()), kernel)
@@ -179,21 +183,19 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     if kernel.family == DETERMINISTIC:
         new = alpha * pop.wealth + beta
     else:
-        u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t,
-                                     pop.n, executor)
+        u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, pop.n)
         new = transition_from_uniforms(k_t, pop.wealth, u)
     return PopulationState(new, pop.t + 1)
 
 
 def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-             steps: int, master_seed: int,
-             executor: ThreadPoolExecutor | None = None) -> Iterator[PopulationState]:
+             steps: int, master_seed: int) -> Iterator[PopulationState]:
     """Yield the initial state and each of the `steps` successor states."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     yield pop
     for _ in range(steps):
-        pop = step(pop, kernel, policy, master_seed, executor)
+        pop = step(pop, kernel, policy, master_seed)
         yield pop
 
 
@@ -233,39 +235,38 @@ def make_initial(n: int, kind: str, master_seed: int, **params) -> PopulationSta
     raise ValueError(f"unknown initial condition kind {kind!r}")
 
 
-# --- full instrumented run ----------------------------------------------
+# --- configured runs ----------------------------------------------------
 
-def run(config, master_seed: int | None = None, threads: int = 1):
-    """Generator of (PopulationState, SnapshotMetrics, [BoundRecord]) rows.
+def trajectory(config, master_seed: int | None = None, kappas=()):
+    """Generator of (PopulationState, SnapshotMetrics) rows of a configured run.
 
-    Emits the initial snapshot first (recursion rows nan there), then one
-    row per step.  Rows appear incrementally so callers can stream them
-    to disk and keep partial output on failure.
+    The initial state comes first, then one row per step; each state is
+    measured once, with tail probabilities at ``kappas``.
     """
-    from . import metrics
-    from .bounds import step_bound_report
-
     seed = config.master_seed if master_seed is None else master_seed
+    pop0 = config.build_initial(seed)
+    for pop in simulate(pop0, config.kernel, config.build_policy(), config.steps, seed):
+        yield pop, metrics.snapshot(pop.wealth, pop.t, kappas)
+
+
+def run(config, master_seed: int | None = None):
+    """Generator of (PopulationState, SnapshotMetrics, [BoundRecord], (alpha_t, beta_t)).
+
+    The rows of `trajectory` plus each row's bound records and the
+    coefficients that act on its population in the next step.  The
+    initial row comes first (recursion rows nan there).  Rows appear
+    incrementally so callers can stream them to disk and keep partial
+    output on failure.
+    """
     kernel = config.kernel
     policy = config.build_policy()
-    pop0 = config.build_initial(seed)
     params = config.bound_params()
     # the report layer looks its kappa up in the snapshot, so force it in
     kappas = tuple(sorted(set(config.kappas) | {params.kappa}))
-
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        prev_snap = None
-        prev_ab = (math.nan, math.nan)
-        for pop in simulate(pop0, kernel, policy, config.steps, seed, executor):
-            snap = metrics.snapshot(pop.wealth, pop.t, kappas)
-            now_ab = policy.linear_coefficients(pop.t, snap.mu, kernel)
-            records = step_bound_report(
-                prev_snap, snap, prev_ab[0], prev_ab[1], now_ab[0], now_ab[1],
-                kernel.gamma_disp, params,
-            )
-            yield pop, snap, records
-            prev_snap, prev_ab = snap, now_ab
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    prev_snap, prev_ab = None, (math.nan, math.nan)
+    for pop, snap in trajectory(config, master_seed, kappas):
+        now_ab = policy.linear_coefficients(pop.t, snap.mu, kernel)
+        records = step_bound_report(prev_snap, snap, *prev_ab, *now_ab,
+                                    kernel.gamma_disp, params)
+        yield pop, snap, records, now_ab
+        prev_snap, prev_ab = snap, now_ab

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .dynamics import GrowthPolicy, simulate
+from .dynamics import run, trajectory
 
 DIVERGING = "diverging"
 STABILIZED = "stabilized"
@@ -73,16 +73,13 @@ class ScenarioResult:
 
 
 def run_scenario(config, name: str, window: int | None = None,
-                 grow_tol: float = 0.005, master_seed: int | None = None,
-                 threads: int = 1):
+                 grow_tol: float = 0.005, master_seed: int | None = None):
     """Full instrumented run plus classification.
 
     Returns (ScenarioResult, snapshots); the bound records are not kept,
     use dynamics.run directly when you need them.
     """
-    from .dynamics import run
-
-    snaps = [snap for _, snap, _ in run(config, master_seed=master_seed, threads=threads)]
+    snaps = [snap for _, snap, _, _ in run(config, master_seed=master_seed)]
     w = window if window is not None else max(1, config.steps // 5)
     verdict = classify_trajectory(snaps, w, grow_tol)
     g = np.array([s.gini for s in snaps])
@@ -103,14 +100,8 @@ def run_scenario(config, name: str, window: int | None = None,
 
 def gini_cv_series(config, master_seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cheap trajectory of (gini, cv) per step, skipping the bound layer."""
-    seed = config.master_seed if master_seed is None else master_seed
-    pop0 = config.build_initial(seed)
-    policy = config.build_policy()
-    gs, cvs = [], []
-    for pop in simulate(pop0, config.kernel, policy, config.steps, seed):
-        gs.append(metrics.gini(pop.wealth))
-        cvs.append(metrics.coefficient_of_variation(pop.wealth))
-    return np.array(gs), np.array(cvs)
+    snaps = [snap for _, snap in trajectory(config, master_seed)]
+    return np.array([s.gini for s in snaps]), np.array([s.cv for s in snaps])
 
 
 def bisect_threshold(classify_at, c_lo: float, c_hi: float, tol: float):

@@ -26,13 +26,45 @@ import numpy as np
 from . import streams
 
 
-def _checked(wealth) -> np.ndarray:
+# Wealth whose largest value has a binary exponent within +-_EXPONENT_BAND
+# is used as it is: sums over 2^63 agents and squares of the largest
+# deviations neither overflow nor underflow.  Outside the band the vector
+# is rescaled by an exact power of two; Gini, CV and tail probabilities are
+# scale-free, so they stay accurate to rounding over the whole finite range.
+_EXPONENT_BAND = 448
+
+
+def _checked(wealth, rescale: bool = True) -> tuple[np.ndarray, int]:
+    """Validate wealth once; return (y, e) with y = wealth * 2**-e.
+
+    e is nonzero only when ``rescale`` is set and the binary exponent of
+    the largest value leaves the band; e is then that exponent.  The
+    scaling is exact, except that values below 2**-1074 times the largest
+    one underflow, which changes no statistic.
+    """
     x = np.asarray(wealth, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a flat vector of at least 2 wealth values")
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
+    top = x.max()
+    if not (x.min() >= 0.0 and top < np.inf):  # also rejects nan
         raise ValueError("wealth values must be finite and nonnegative")
-    return x
+    e = int(np.frexp(top)[1])
+    if not rescale or -_EXPONENT_BAND <= e <= _EXPONENT_BAND:
+        return x, 0
+    return np.ldexp(x, -e), e
+
+
+def _mean(x: np.ndarray, what: str):
+    mu = x.mean()
+    if not mu > 0.0:
+        raise ValueError(f"{what} undefined: mean wealth is zero")
+    return mu
+
+
+def _gini_sorted(xs: np.ndarray, mu) -> float:
+    n = xs.size
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    return float(np.sum((2.0 * ranks - n - 1.0) * xs) / (n * n * mu))
 
 
 def gini(wealth) -> float:
@@ -41,44 +73,32 @@ def gini(wealth) -> float:
     Equals (1/(2 N^2 mu)) * sum_{i,j} |x_i - x_j|, pairs drawn with
     replacement.
     """
-    x = _checked(wealth)
-    mu = x.mean()
-    if not mu > 0.0:
-        raise ValueError("Gini undefined: mean wealth is zero")
-    n = x.size
-    xs = np.sort(x)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float(np.sum((2.0 * ranks - n - 1.0) * xs) / (n * n * mu))
+    x, _ = _checked(wealth)
+    return _gini_sorted(np.sort(x), _mean(x, "Gini"))
 
 
 def gini_pairwise_oracle(wealth) -> float:
     """Direct O(N^2) double sum; reference for property tests only."""
-    x = _checked(wealth)
+    x, _ = _checked(wealth)
     if x.size > 10_000:
         raise ValueError("pairwise oracle capped at N = 10^4")
-    mu = x.mean()
-    if not mu > 0.0:
-        raise ValueError("Gini undefined: mean wealth is zero")
+    mu = _mean(x, "Gini")
     diff = np.abs(x[:, None] - x[None, :]).sum()
     return float(diff / (2.0 * x.size**2 * mu))
 
 
 def coefficient_of_variation(wealth) -> float:
-    x = _checked(wealth)
-    mu = x.mean()
-    if not mu > 0.0:
-        raise ValueError("CV undefined: mean wealth is zero")
+    x, _ = _checked(wealth)
+    mu = _mean(x, "CV")
     return float(x.std() / mu)
 
 
 def tail_probability(wealth, kappa: float) -> float:
     """Fraction of agents with wealth strictly above kappa * mean."""
-    x = _checked(wealth)
+    x, _ = _checked(wealth)
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    mu = x.mean()
-    if not mu > 0.0:
-        raise ValueError("tail probability undefined: mean wealth is zero")
+    mu = _mean(x, "tail probability")
     return float(np.count_nonzero(x > kappa * mu)) / x.size
 
 
@@ -96,19 +116,29 @@ class SnapshotMetrics:
 
 
 def snapshot(wealth, t: int, kappas=()) -> SnapshotMetrics:
-    x = _checked(wealth)
-    mu = float(x.mean())
-    if not mu > 0.0:
-        raise ValueError("snapshot undefined: mean wealth is zero")
-    sigma = float(x.std())
+    """All statistics of one state from one validation and one sort.
+
+    Each field equals its standalone function bit for bit; the tail
+    counts are n - searchsorted(sorted, kappa*mu, side="right").
+    """
+    x, e = _checked(wealth)
+    mu = _mean(x, "snapshot")
+    sigma = x.std()
+    xs = np.sort(x)
+    n = x.size
+    tail_probs = {}
+    for k in kappas:
+        if not k > 0.0:
+            raise ValueError("kappa must be positive")
+        tail_probs[float(k)] = float(n - np.searchsorted(xs, k * mu, side="right")) / n
     return SnapshotMetrics(
         t=int(t),
-        n=x.size,
-        mu=mu,
-        sigma=sigma,
-        cv=sigma / mu,
-        gini=gini(x),
-        tail_probs={float(k): tail_probability(x, k) for k in kappas},
+        n=n,
+        mu=float(np.ldexp(mu, e)),
+        sigma=float(np.ldexp(sigma, e)),
+        cv=float(sigma / mu),
+        gini=_gini_sorted(xs, mu),
+        tail_probs=tail_probs,
     )
 
 
@@ -120,7 +150,7 @@ def cv_squared_influence(wealth) -> np.ndarray:
 
     std(IF)/sqrt(N) is the asymptotic standard error of the plug-in CV^2.
     """
-    x = _checked(wealth)
+    x, _ = _checked(wealth)
     mu = x.mean()
     m2 = np.mean(x * x)
     return (x * x - m2) / mu**2 - (2.0 * m2 / mu**3) * (x - mu)
@@ -133,7 +163,7 @@ def gini_influence(wealth) -> np.ndarray:
     the whole thing is O(N log N).  std(IF)/sqrt(N) estimates SE(G), and
     differences of paired influences give the SE of a step's Gini change.
     """
-    x = _checked(wealth)
+    x, _ = _checked(wealth)
     n = x.size
     mu = x.mean()
     order = np.argsort(x, kind="stable")
@@ -153,7 +183,7 @@ def _bootstrap_counts(n: int, n_boot: int, master_seed: int, sequence: int) -> n
     """Multinomial resampling counts, (n_boot, n), from the keyed streams."""
     out = np.empty((n_boot, n), dtype=np.float64)
     for b in range(n_boot):
-        u = streams.probe_uniforms(master_seed, streams.TAG_PROBE, n, sequence * n_boot + b)
+        u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, sequence * n_boot + b, n)
         idx = np.minimum((u * n).astype(np.int64), n - 1)
         out[b] = np.bincount(idx, minlength=n)
     return out
@@ -167,8 +197,8 @@ def cv_recursion_delta_se(wealth_prev, wealth_next, alpha: float, beta: float,
     differences the influence functions agent by agent.  Cheap O(N)
     companion to the bootstrap, suitable for per-step gating.
     """
-    xp = _checked(wealth_prev)
-    xn = _checked(wealth_next)
+    xp, _ = _checked(wealth_prev, rescale=False)
+    xn, _ = _checked(wealth_next, rescale=False)
     if xp.size != xn.size:
         raise ValueError("paired populations must have equal size")
     mu = xp.mean()
@@ -198,8 +228,8 @@ def cv_recursion_bootstrap_se(
     statistics reduce to weighted first and second moments, so each
     replicate is two matrix products over the resampling counts.
     """
-    xp = _checked(wealth_prev)
-    xn = _checked(wealth_next)
+    xp, _ = _checked(wealth_prev, rescale=False)
+    xn, _ = _checked(wealth_next, rescale=False)
     if xp.size != xn.size:
         raise ValueError("paired populations must have equal size")
     n = xp.size

@@ -3,17 +3,15 @@
 Every random number consumed anywhere in the simulator is a pure function
 of ``(master_seed, purpose_tag, step_index, block_index)``.  Agents are
 grouped into fixed-size blocks and each block gets its own keyed Philox
-bit generator, so a population update can be computed block by block, in
-any order, on any number of threads, and the result is bit-identical to
-the single-threaded run.
+bit generator, so any partition of a population update into blocks gives
+bit-identical output.  The blocks are filled serially: scheduling them on
+a thread pool cost more than the Philox fill it spread.
 
 The uniform variates produced here are strictly inside (0, 1), which lets
 callers push them through inverse CDFs without guarding against log(0).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,46 +56,17 @@ def block_uniforms(master_seed: int, tag: int, step: int, block: int, n: int) ->
     return uniforms_from_raw(bg.random_raw(n))
 
 
-def indexed_uniforms(
-    master_seed: int,
-    tag: int,
-    step: int,
-    n: int,
-    executor: ThreadPoolExecutor | None = None,
-) -> np.ndarray:
+def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarray:
     """One uniform per index 0..n-1, assembled from per-block streams.
 
-    The output is a deterministic function of the key material alone;
-    ``executor`` only controls how the blocks are computed.
+    ``step`` is the time step for simulation draws and the sequence index
+    for diagnostics, which may consume several independent batches.
     """
-    n_blocks = (n + BLOCK - 1) // BLOCK
     out = np.empty(n, dtype=np.float64)
-
-    def fill(k: int) -> None:
-        lo = k * BLOCK
+    for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        out[lo:hi] = block_uniforms(master_seed, tag, step, k, hi - lo)
-
-    if executor is None:
-        for k in range(n_blocks):
-            fill(k)
-    else:
-        list(executor.map(fill, range(n_blocks)))
+        out[lo:hi] = block_uniforms(master_seed, tag, step, lo // BLOCK, hi - lo)
     return out
-
-
-def probe_uniforms(master_seed: int, tag: int, n: int, sequence: int = 0) -> np.ndarray:
-    """Single-shot uniforms for diagnostics (pair sampling, calibration).
-
-    ``sequence`` plays the role of the step index so one diagnostic can
-    consume several independent batches.
-    """
-    n_blocks = (n + BLOCK - 1) // BLOCK
-    parts = [
-        block_uniforms(master_seed, tag, sequence, k, min(BLOCK, n - k * BLOCK))
-        for k in range(n_blocks)
-    ]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 class Stream:
@@ -114,6 +83,6 @@ class Stream:
         self.sequence = sequence
 
     def uniforms(self, n: int) -> np.ndarray:
-        u = probe_uniforms(self.master_seed, self.tag, n, self.sequence)
+        u = indexed_uniforms(self.master_seed, self.tag, self.sequence, n)
         self.sequence += 1
         return u

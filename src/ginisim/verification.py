@@ -32,6 +32,8 @@ from .kernels import (
     KernelSpec,
     NoDensityError,
     _probe_array,
+    high_probability_mass,
+    sample_transition,
     unit_mean_noise,
 )
 from .metrics import tail_probability
@@ -122,8 +124,6 @@ def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
 def pair_split_monte_carlo(kernel: KernelSpec, x: float, y: float, n_pairs: int,
                            stream: Stream) -> tuple[float, float]:
     """Monte Carlo oracle for the pair integral: (estimate, standard error)."""
-    from .kernels import sample_transition
-
     xs = np.asarray(sample_transition(kernel, x, stream, size=n_pairs))
     ys = np.asarray(sample_transition(kernel, y, stream, size=n_pairs))
     gap = np.maximum(ys - xs, 0.0)
@@ -211,8 +211,6 @@ def calibrate_log_derivative_bound(
     high_probability_mass(kernel, x, bound) ~= target_mass by
     construction.
     """
-    from .kernels import high_probability_mass, sample_transition
-
     stream = Stream(master_seed, streams.TAG_PROBE)
     xp = np.asarray(sample_transition(kernel, x, stream, size=n_samples))
     out = {}
@@ -609,8 +607,8 @@ def ensemble_gap_bound_check(
     rhs = (params.delta_stripe * params.kappa * mu
            * params.gamma_inv_logderiv * (1.0 - eps) * p_tail**2)
 
-    u1 = streams.probe_uniforms(master_seed, streams.TAG_PROBE, n_pairs, sequence=0)
-    u2 = streams.probe_uniforms(master_seed, streams.TAG_PROBE, n_pairs, sequence=1)
+    u1 = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n_pairs)
+    u2 = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 1, n_pairs)
     ii = np.minimum((u1 * n).astype(np.int64), n - 1)
     jj = np.minimum((u2 * n).astype(np.int64), n - 1)
 

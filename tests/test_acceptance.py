@@ -20,7 +20,7 @@ from ginisim.bounds import (BoundParams, adaptation_substitution,
                             cv_growth_lower_bound, cv_halting_condition,
                             general_cv_condition)
 from ginisim.config import parse_config
-from ginisim.dynamics import run, simulate
+from ginisim.dynamics import run, trajectory
 from ginisim.experiments import STABILIZED, classify_trajectory, \
     find_min_stabilizing_salary_fraction
 from ginisim.kernels import GAMMA, KernelSpec
@@ -54,8 +54,8 @@ class ScenarioBundle:
     worst_violation_se_ratio: float
 
 
-def run_scenario_bundle(config_name: str, bootstrap_violations: bool = False,
-                        threads: int = 4) -> ScenarioBundle:
+def run_scenario_bundle(config_name: str,
+                        bootstrap_violations: bool = False) -> ScenarioBundle:
     """Single pass over a shipped scenario collecting everything gated below.
 
     When ``bootstrap_violations`` is set, every step whose empirical CV^2
@@ -75,7 +75,7 @@ def run_scenario_bundle(config_name: str, bootstrap_violations: bool = False,
     checked = raw = beyond = 0
     worst = 0.0
     prev_wealth = prev_snap = None
-    for pop, snap, records in run(config, threads=threads):
+    for pop, snap, records, _ in run(config):
         by_name = {r.name: r for r in records}
         snaps.append(snap)
         halting.append(bool(by_name["cv_halting"].satisfied))
@@ -144,9 +144,7 @@ def lognormal_calibration(integrals_config):
 def integrals_snapshot(integrals_config):
     config = integrals_config
     pop = None
-    for pop in simulate(config.build_initial(config.master_seed), config.kernel,
-                        config.build_policy(), config.snapshot_step,
-                        config.master_seed):
+    for pop, _ in trajectory(dataclasses.replace(config, steps=config.snapshot_step)):
         pass
     return pop
 

@@ -119,6 +119,13 @@ def test_gini_hand_values(tmp_path, capsys):
     assert float(out[1].split()[1]) == pytest.approx(math.sqrt(3.0), rel=1e-11)
 
 
+def test_gini_of_the_smallest_subnormal(tmp_path, capsys):
+    # the mean of 0 and 5e-324 underflows to 0 unless the metrics rescale
+    path = write(tmp_path / "tiny.txt", "0\n5e-324\n")
+    assert cli.main(["gini", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["gini 0.5", "cv 1"]
+
+
 def test_gini_error_paths(tmp_path, capsys):
     assert cli.main(["gini", "--input", str(tmp_path / "nope.txt")]) == 2
     assert "input file not found" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 """Ensemble evolution: exactness, reproducibility, mode equivalences."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from ginisim.dynamics import (
     run,
     simulate,
     step,
+    trajectory,
 )
 from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
 
@@ -107,17 +107,6 @@ def test_deterministic_growth_keeps_cv_constant():
     cv0 = coefficient_of_variation(pop.wealth)
     for s in simulate(pop, det_kernel(alpha=1.07), GrowthPolicy.linear(), 50, 0):
         assert coefficient_of_variation(s.wealth) == pytest.approx(cv0, rel=1e-12)
-
-
-def test_thread_count_does_not_change_results():
-    pop = initial_uniform(3 * 4096 + 17, 0.1, 2.0, master_seed=1)
-    serial = [s.wealth for s in simulate(pop, LOGN, GrowthPolicy.linear(), 5, 77)]
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        threaded = [s.wealth
-                    for s in simulate(pop, LOGN, GrowthPolicy.linear(), 5, 77,
-                                      executor=ex)]
-    for a, b in zip(serial, threaded):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_wealth_stays_nonnegative():
@@ -239,11 +228,30 @@ def test_run_emits_initial_row_and_forces_report_kappa():
     })
     rows = list(run(cfg))
     assert len(rows) == 8
-    pop0, snap0, recs0 = rows[0]
+    pop0, snap0, recs0, ab0 = rows[0]
     assert pop0.t == 0 and snap0.t == 0
     assert set(snap0.tail_probs) == {0.1, 0.3}
+    assert ab0 == (1.02, 0.0)
     by_name = {r.name: r for r in recs0}
     assert math.isnan(by_name["cv_growth"].lhs)  # no previous step yet
-    pop1, snap1, recs1 = rows[1]
+    pop1, snap1, recs1, _ = rows[1]
     assert not math.isnan({r.name: r for r in recs1}["cv_growth"].lhs)
     assert snap1.t == 1
+
+
+def test_run_rows_are_the_trajectory_rows():
+    cfg = load_config({
+        "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0,
+                   "gamma_disp": 0.2},
+        "population": {"n_agents": 300, "steps": 6},
+        "policy": {"mode": "proportional", "salary_fraction": 0.05},
+        "master_seed": 5,
+    })
+    rows = list(run(cfg, master_seed=9))
+    plain = list(trajectory(cfg, master_seed=9, kappas=cfg.kappas))
+    assert len(rows) == len(plain) == cfg.steps + 1
+    for (pop, snap, _, (alpha, beta)), (pop_t, snap_t) in zip(rows, plain):
+        np.testing.assert_array_equal(pop.wealth, pop_t.wealth)
+        assert snap == snap_t
+        # proportional mode: beta_t = c * mu_t of the row's own snapshot
+        assert (alpha, beta) == (1.02, 0.05 * snap.mu)

@@ -1,8 +1,10 @@
 """Inequality statistics against hand values and the O(N^2) oracle."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ginisim import metrics
@@ -98,6 +100,52 @@ def test_gini_range_property(values):
     g = gini(x)
     n = x.size
     assert -1e-15 <= g <= (n - 1) / n + 1e-15
+
+
+def test_metrics_exact_at_both_ends_of_the_float_range():
+    # each of these under- or overflows without the power-of-two rescale
+    assert gini([0.0, 5e-324]) == 0.5
+    assert coefficient_of_variation([1e-320, 3e-320]) == 0.5
+    assert gini([0.0, 1e308, 1e308]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert coefficient_of_variation([0.0, 1e308, 1e308]) == pytest.approx(
+        math.sqrt(2.0) / 2.0, rel=1e-15)
+    assert coefficient_of_variation([1e300] * 3 + [0.0]) == pytest.approx(
+        math.sqrt(3.0) / 3.0, rel=1e-15)
+    # mu and sigma are scaled back to wealth units
+    snap = snapshot([1e-320, 3e-320], t=0, kappas=(1.0,))
+    assert (snap.mu, snap.sigma, snap.cv, snap.gini) == (2e-320, 1e-320, 0.5, 0.25)
+    assert snap.tail_probs == {1.0: 0.5}
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6)),
+                min_size=2, max_size=64),
+       st.sampled_from([1000, -1000]))
+@settings(max_examples=200, deadline=None)
+def test_invariance_under_extreme_binary_scaling(values, shift):
+    x = np.asarray(values)
+    assume(x.sum() > 0.0)
+    y = np.ldexp(x, shift)  # exact: every scaled value stays a normal float
+    assert gini(y) == gini(x)
+    assert coefficient_of_variation(y) == coefficient_of_variation(x)
+    for kappa in (0.5, 1.0, 2.0):
+        assert tail_probability(y, kappa) == tail_probability(x, kappa)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=64))
+@example([1, 1, 2, 4])  # mu = 2: thresholds 1, 2 and 4 sit on agents
+@settings(max_examples=200, deadline=None)
+def test_snapshot_equals_standalone_metrics_bit_for_bit(values):
+    x = np.asarray(values, dtype=np.float64)
+    assume(x.sum() > 0.0)
+    mu = x.mean()
+    # kappas whose threshold kappa*mu lands exactly on an agent's wealth,
+    # where strict exceedance and searchsorted(side="right") must agree
+    kappas = sorted({v / mu for v in map(float, values) if v > 0.0 and v / mu * mu == v}
+                    | {0.5, 1.0, 2.0})
+    snap = snapshot(x, t=3, kappas=kappas)
+    assert snap.gini == gini(x)
+    assert snap.cv == coefficient_of_variation(x)
+    assert snap.tail_probs == {k: tail_probability(x, k) for k in kappas}
 
 
 def test_checked_input_validation():

@@ -1,7 +1,5 @@
 """Keyed-stream reproducibility: the whole package rests on these."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,6 @@ from ginisim.streams import (
     Stream,
     block_uniforms,
     indexed_uniforms,
-    probe_uniforms,
     uniforms_from_raw,
 )
 
@@ -53,15 +50,6 @@ def test_indexed_equals_per_block_concatenation():
     np.testing.assert_array_equal(whole, np.concatenate([first, second]))
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_thread_partitioning_is_bit_identical(workers):
-    n = 3 * BLOCK + 17
-    serial = indexed_uniforms(123, TAG_STEP, 9, n)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        threaded = indexed_uniforms(123, TAG_STEP, 9, n, executor=ex)
-    np.testing.assert_array_equal(serial, threaded)
-
-
 def test_key_components_separate_streams():
     base = block_uniforms(5, TAG_STEP, 2, 1, 256)
     assert not np.array_equal(base, block_uniforms(6, TAG_STEP, 2, 1, 256))
@@ -70,21 +58,12 @@ def test_key_components_separate_streams():
     assert not np.array_equal(base, block_uniforms(5, TAG_STEP, 2, 2, 256))
 
 
-def test_probe_uniforms_matches_indexed():
-    # probe sequence index plays the role of the step index
-    n = 2 * BLOCK + 5
-    np.testing.assert_array_equal(
-        probe_uniforms(11, TAG_PROBE, n, sequence=4),
-        indexed_uniforms(11, TAG_PROBE, 4, n),
-    )
-
-
 def test_stream_burns_sequence_per_call():
     s = Stream(11, TAG_PROBE, sequence=0)
     first = s.uniforms(64)
     second = s.uniforms(64)
-    np.testing.assert_array_equal(first, probe_uniforms(11, TAG_PROBE, 64, sequence=0))
-    np.testing.assert_array_equal(second, probe_uniforms(11, TAG_PROBE, 64, sequence=1))
+    np.testing.assert_array_equal(first, indexed_uniforms(11, TAG_PROBE, 0, 64))
+    np.testing.assert_array_equal(second, indexed_uniforms(11, TAG_PROBE, 1, 64))
     assert s.sequence == 2
     assert not np.array_equal(first, second)
 
