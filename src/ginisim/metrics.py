@@ -48,10 +48,26 @@ def _checked(wealth, rescale: bool = True) -> tuple[np.ndarray, int]:
     top = x.max()
     if not (x.min() >= 0.0 and top < np.inf):  # also rejects nan
         raise ValueError("wealth values must be finite and nonnegative")
+    e = _exponent(top) if rescale else 0
+    return (np.ldexp(x, -e) if e else x), e
+
+
+def _exponent(top) -> int:
+    """Binary exponent of ``top`` when it leaves the band, else 0."""
     e = int(np.frexp(top)[1])
-    if not rescale or -_EXPONENT_BAND <= e <= _EXPONENT_BAND:
-        return x, 0
-    return np.ldexp(x, -e), e
+    return 0 if -_EXPONENT_BAND <= e <= _EXPONENT_BAND else e
+
+
+def _checked_pair(wealth_prev, wealth_next) -> tuple[np.ndarray, np.ndarray, int]:
+    """(prev * 2**-e, next * 2**-e, e), e from the larger maximum as in `_checked`."""
+    xp, _ = _checked(wealth_prev, rescale=False)
+    xn, _ = _checked(wealth_next, rescale=False)
+    if xp.size != xn.size:
+        raise ValueError("paired populations must have equal size")
+    e = _exponent(max(xp.max(), xn.max()))
+    if e:
+        xp, xn = np.ldexp(xp, -e), np.ldexp(xn, -e)
+    return xp, xn, e
 
 
 def _mean(x: np.ndarray, what: str):
@@ -197,10 +213,8 @@ def cv_recursion_delta_se(wealth_prev, wealth_next, alpha: float, beta: float,
     differences the influence functions agent by agent.  Cheap O(N)
     companion to the bootstrap, suitable for per-step gating.
     """
-    xp, _ = _checked(wealth_prev, rescale=False)
-    xn, _ = _checked(wealth_next, rescale=False)
-    if xp.size != xn.size:
-        raise ValueError("paired populations must have equal size")
+    xp, xn, e = _checked_pair(wealth_prev, wealth_next)
+    beta = np.ldexp(beta, -e)  # the one input in wealth units
     mu = xp.mean()
     v = (xp.std() / mu) ** 2
     r2 = (gamma_disp / alpha) ** 2
@@ -227,11 +241,9 @@ def cv_recursion_bootstrap_se(
     coupling between a wealth value and its own next-step draw.  Both
     statistics reduce to weighted first and second moments, so each
     replicate is two matrix products over the resampling counts.
+    ``bound_fn`` receives mu in wealth units.
     """
-    xp, _ = _checked(wealth_prev, rescale=False)
-    xn, _ = _checked(wealth_next, rescale=False)
-    if xp.size != xn.size:
-        raise ValueError("paired populations must have equal size")
+    xp, xn, e = _checked_pair(wealth_prev, wealth_next)
     n = xp.size
     counts = _bootstrap_counts(n, n_boot, master_seed, sequence)
     cols = np.column_stack([xp, xp * xp, xn, xn * xn])
@@ -240,5 +252,5 @@ def cv_recursion_bootstrap_se(
     cv2_p = sums[:, 1] / (n * mu_p**2) - 1.0
     mu_n = sums[:, 2] / n
     cv2_n = sums[:, 3] / (n * mu_n**2) - 1.0
-    d = cv2_n - bound_fn(np.sqrt(np.maximum(cv2_p, 0.0)), mu_p)
+    d = cv2_n - bound_fn(np.sqrt(np.maximum(cv2_p, 0.0)), np.ldexp(mu_p, e))
     return float(np.std(d, ddof=1))

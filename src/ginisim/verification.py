@@ -26,7 +26,7 @@ from scipy import special as sp
 
 from . import streams
 from .bounds import BoundParams
-from .dynamics import PopulationState
+from .dynamics import PopulationState, simulate
 from .kernels import (
     LOGNORMAL,
     KernelSpec,
@@ -757,6 +757,113 @@ def pushforward_log_derivative_check(
         grid_hi=float(grid[-1]),
         n_excluded_agents=int(n_excluded),
     )
+
+
+# --- the verify-integrals report -----------------------------------------
+
+
+def verify_integrals(config) -> list[tuple[str, dict]]:
+    """Run every check of the pair-integral chain on a configured kernel.
+
+    Returns the report sections in order: calibration, then five gated
+    sections that each carry their own ``pass``, then ``overall``, whose
+    ``pass`` is their conjunction.  The ensemble gap and the pushforward
+    run on the population after ``snapshot_step`` steps of the config.
+    Raises NoDensityError for a kernel without a transition density.
+    """
+    kernel = config.kernel
+    if not kernel.has_density:
+        raise NoDensityError("deterministic kernel has no transition density")
+    sections: list[tuple[str, dict]] = []
+
+    cal = calibrate_log_derivative_bound(kernel, x=1.0, master_seed=config.master_seed)
+    sections.append(("calibration", {
+        "target_mass": cal.target_mass,
+        "delta_logx": cal.delta_logx,
+        "delta_logxp": cal.delta_logxp,
+        "gamma_inv": cal.gamma_inv,
+        "mass_within_logx": cal.mass_within_logx,
+        "mass_within_logxp": cal.mass_within_logxp,
+    }))
+
+    diag = diagonal_bound_check(kernel, config.x_diagonal, cal.gamma_inv)
+    fields = {"gamma_claimed": diag.gamma_claimed, "quad_tol": diag.quad_tol}
+    for rec in diag.records:
+        fields[f"f_diag[x={rec.x:g}]"] = rec.f_diag
+        fields[f"slack_mean_scaled[x={rec.x:g}]"] = rec.slack_vs_mean_scaled
+        fields[f"slack_x[x={rec.x:g}]"] = rec.slack_vs_x
+    fields["pass"] = diag.satisfied
+    sections.append(("diagonal_bound", fields))
+
+    max_rel = 0.0
+    fields = {}
+    for a in config.a_values:
+        for d in config.delta_values:
+            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), a, d,
+                                              clip_lower=False, check_norm=False)
+            closed = extremal_closed_form(a, d)
+            rel = abs(quad_val - closed) / closed
+            max_rel = max(max_rel, rel)
+            fields[f"rel_err[a={a:g},delta={d:g}]"] = rel
+    fields["max_rel_err"] = max_rel
+    fields["pass"] = max_rel <= 1e-9
+    sections.append(("stripe_functional", fields))
+
+    mini = extremal_minimality_check(a=1.0, delta=0.01, n_trials=config.n_trials,
+                                     master_seed=config.master_seed)
+    fields = {
+        "a": mini.a, "delta": mini.delta,
+        "slack_constant": mini.slack_constant,
+        "y_extremal_closed_form": mini.y_extremal_closed_form,
+        "y_extremal_clipped": mini.y_extremal_clipped,
+        "n_trials": len(mini.trials),
+        "n_excluded": mini.n_excluded,
+    }
+    for trial in mini.trials:
+        status = "excluded" if trial.excluded else ("ok" if trial.passed else "FAIL")
+        fields[f"trial[{trial.label}]"] = (
+            f"y={trial.y_value:.9g} ratio={trial.ratio_to_extremal:.6g} {status}"
+        )
+    fields["pass"] = mini.all_passed
+    sections.append(("extremal_minimality", fields))
+
+    seed = config.master_seed
+    for pop in simulate(config.build_initial(seed), kernel, config.build_policy(),
+                        config.snapshot_step, seed):
+        pass
+    gap_params = BoundParams(
+        kappa=config.kappa, delta_stripe=config.delta_stripe,
+        epsilon=min(config.delta_stripe / cal.gamma_inv, 0.999),
+        gamma_inv_logderiv=cal.gamma_inv,
+    )
+    gap = ensemble_gap_bound_check(pop, kernel, gap_params, n_pairs=config.n_pairs,
+                                   master_seed=seed)
+    sections.append(("ensemble_gap", {
+        "snapshot_step": config.snapshot_step,
+        "n_pairs": gap.n_pairs, "n_excluded": gap.n_excluded,
+        "lhs_mean": gap.lhs_mean, "standard_error": gap.standard_error,
+        "rhs_bound": gap.rhs_bound, "margin_se": gap.margin_se,
+        "epsilon": gap.epsilon,
+        "pass": gap.hypotheses_met and gap.margin_se > 3.0,
+    }))
+
+    sub = PopulationState(pop.wealth[:2048], pop.t)
+    lo_q, hi_q = float(np.quantile(sub.wealth, 0.02)), float(np.quantile(sub.wealth, 0.98))
+    lo = kernel.beta + 0.8 * max(kernel.alpha * lo_q - kernel.beta, 1e-9)
+    hi = kernel.beta + 1.3 * (kernel.alpha * hi_q - kernel.beta)
+    push = pushforward_log_derivative_check(
+        sub, kernel, np.geomspace(lo, hi, 220), claimed_bound=cal.delta_logxp,
+        tol=0.1 * cal.delta_logxp)
+    sections.append(("pushforward", {
+        "max_abs_logderiv_core": push.max_abs_logderiv_core,
+        "claimed_bound": push.claimed_bound,
+        "core_mass": push.core_mass,
+        "pass": push.satisfied,
+    }))
+
+    sections.append(("overall", {"pass": all(fields["pass"] for _, fields in sections
+                                             if "pass" in fields)}))
+    return sections
 
 
 # --- text report serialization -------------------------------------------

@@ -16,19 +16,17 @@ import numpy as np
 import pytest
 
 from ginisim import cli
-from ginisim.bounds import (BoundParams, adaptation_substitution,
-                            cv_growth_lower_bound, cv_halting_condition,
-                            general_cv_condition)
+from ginisim.bounds import (adaptation_substitution, cv_growth_lower_bound,
+                            cv_halting_condition, general_cv_condition)
 from ginisim.config import parse_config
-from ginisim.dynamics import run, trajectory
+from ginisim.dynamics import run
 from ginisim.experiments import STABILIZED, classify_trajectory, \
     find_min_stabilizing_salary_fraction
 from ginisim.kernels import GAMMA, KernelSpec
 from ginisim.metrics import cv_recursion_bootstrap_se, gini, gini_pairwise_oracle
-from ginisim.verification import (DensityOnRay, calibrate_log_derivative_bound,
-                                  diagonal_bound_check, ensemble_gap_bound_check,
-                                  extremal_closed_form, extremal_minimality_check,
-                                  stripe_pair_functional, truncated_pareto)
+from ginisim.verification import (calibrate_log_derivative_bound,
+                                  diagonal_bound_check, extremal_minimality_check,
+                                  truncated_pareto, verify_integrals)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,19 +132,9 @@ def integrals_config():
 
 
 @pytest.fixture(scope="session")
-def lognormal_calibration(integrals_config):
-    return calibrate_log_derivative_bound(
-        integrals_config.kernel, x=1.0,
-        master_seed=integrals_config.master_seed)
-
-
-@pytest.fixture(scope="session")
-def integrals_snapshot(integrals_config):
-    config = integrals_config
-    pop = None
-    for pop, _ in trajectory(dataclasses.replace(config, steps=config.snapshot_step)):
-        pass
-    return pop
+def integrals_report(integrals_config):
+    """The verify-integrals sections of the lognormal config, by name."""
+    return dict(verify_integrals(integrals_config))
 
 
 def test_01_gini_matches_pairwise_oracle():
@@ -265,64 +253,46 @@ def test_08_general_condition_recovers_linear_policy():
                  f"worst rel slack difference {worst:.2e} over 1000 tuples")
 
 
-def test_09_extremal_stripe_functional(integrals_config):
-    config = integrals_config
-    worst = 0.0
-    for a in config.a_values:
-        for d in config.delta_values:
-            val = stripe_pair_functional(DensityOnRay.extremal(a), a, d,
-                                         clip_lower=False, check_norm=False)
-            closed = extremal_closed_form(a, d)
-            worst = max(worst, abs(val - closed) / closed)
+def test_09_extremal_stripe_functional(integrals_report):
+    worst = integrals_report["stripe_functional"]["max_rel_err"]
     paretos = [truncated_pareto(1.0, c) for c in (0.5, 1.0, 1.5, 2.0, 3.0)]
     explicit = extremal_minimality_check(a=1.0, delta=0.01,
                                          n_trials=len(paretos),
                                          trial_densities=paretos)
-    auto = extremal_minimality_check(a=1.0, delta=0.01,
-                                     n_trials=config.n_trials,
-                                     master_seed=config.master_seed)
     min_ratio = min(t.ratio_to_extremal for t in explicit.trials)
     ok = (worst <= 1e-9
           and explicit.all_passed and explicit.n_excluded == 0
-          and auto.all_passed)
+          and integrals_report["extremal_minimality"]["pass"])
     assert check(9, "extremal density minimizes the stripe functional", ok,
                  f"9-point grid worst rel err {worst:.2e}, "
                  f"pareto trial min ratio {min_ratio:.4f}")
 
 
-def test_10_diagonal_transfer_bound(integrals_config, lognormal_calibration):
+def test_10_diagonal_transfer_bound(integrals_config, integrals_report):
     config = integrals_config
     base = config.kernel
-    details = []
-    ok = True
-    for name, kernel in (("lognormal", base),
-                         ("gamma", KernelSpec(GAMMA, alpha=base.alpha,
-                                              beta=base.beta,
-                                              gamma_disp=base.gamma_disp))):
-        cal = (lognormal_calibration if name == "lognormal" else
-               calibrate_log_derivative_bound(kernel, x=1.0,
-                                              master_seed=config.master_seed))
-        diag = diagonal_bound_check(kernel, config.x_diagonal, cal.gamma_inv)
-        min_slack = min(r.slack_vs_x for r in diag.records)
-        ok = ok and diag.satisfied and min_slack > 1e-6
-        details.append(f"{name} min x-slack {min_slack:.3g}")
+    lognormal = integrals_report["diagonal_bound"]
+    min_slack = min(v for k, v in lognormal.items() if k.startswith("slack_x["))
+    ok = lognormal["pass"] and min_slack > 1e-6
+    details = [f"lognormal min x-slack {min_slack:.3g}"]
+    kernel = KernelSpec(GAMMA, alpha=base.alpha, beta=base.beta,
+                        gamma_disp=base.gamma_disp)
+    cal = calibrate_log_derivative_bound(kernel, x=1.0,
+                                         master_seed=config.master_seed)
+    diag = diagonal_bound_check(kernel, config.x_diagonal, cal.gamma_inv)
+    min_slack = min(r.slack_vs_x for r in diag.records)
+    ok = ok and diag.satisfied and min_slack > 1e-6
+    details.append(f"gamma min x-slack {min_slack:.3g}")
     assert check(10, "diagonal pair-transfer bound", ok, ", ".join(details))
 
 
-def test_11_ensemble_gap_bound(integrals_config, lognormal_calibration,
-                               integrals_snapshot):
-    config, cal = integrals_config, lognormal_calibration
-    params = BoundParams(kappa=config.kappa, delta_stripe=config.delta_stripe,
-                         epsilon=min(config.delta_stripe / cal.gamma_inv, 0.999),
-                         gamma_inv_logderiv=cal.gamma_inv)
-    gap = ensemble_gap_bound_check(integrals_snapshot, config.kernel, params,
-                                   n_pairs=config.n_pairs,
-                                   master_seed=config.master_seed)
-    ok = (gap.hypotheses_met and gap.margin_se > 3.0
-          and gap.margin_se == pytest.approx(20.2694443373, rel=1e-9))
+def test_11_ensemble_gap_bound(integrals_report):
+    gap = integrals_report["ensemble_gap"]
+    ok = (gap["pass"] and gap["margin_se"] > 3.0
+          and gap["margin_se"] == pytest.approx(20.2694443373, rel=1e-9))
     assert check(11, "ensemble pair-transfer gap bound", ok,
-                 f"margin {gap.margin_se:.1f} SE, mean {gap.lhs_mean:.4f} "
-                 f"vs bound {gap.rhs_bound:.3g}")
+                 f"margin {gap['margin_se']:.1f} SE, mean {gap['lhs_mean']:.4f} "
+                 f"vs bound {gap['rhs_bound']:.3g}")
 
 
 def test_12_thread_count_determinism(tmp_path_factory):

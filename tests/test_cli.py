@@ -1,10 +1,15 @@
 """End-to-end command line behaviour, exit codes, and CSV round trips."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from ginisim import cli, metrics
+from ginisim.config import parse_config
+from ginisim.verification import format_report, verify_integrals
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(path, text):
@@ -165,6 +170,18 @@ def test_verify_integrals_needs_density(tmp_path, capsys):
     assert cli.main(["verify-integrals", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "hypotheses not met: deterministic kernel has no transition density" in err
+
+
+def test_verify_integrals_report(tmp_path, capsys):
+    cfg = str(CONFIGS / "integrals.yaml")
+    report_path = tmp_path / "report.txt"
+    assert cli.main(["verify-integrals", "--config", cfg,
+                     "--out", str(report_path)]) == 0
+    report = format_report(verify_integrals(parse_config(cfg)))
+    assert capsys.readouterr().out == report + "\n"
+    assert report_path.read_text() == report
+    gates = [line for line in report.splitlines() if line.startswith("pass: ")]
+    assert gates == ["pass: True"] * 6  # five checks and the overall verdict
 
 
 def test_search_threshold_csv(tmp_path, capsys):

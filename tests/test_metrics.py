@@ -129,6 +129,9 @@ def test_invariance_under_extreme_binary_scaling(values, shift):
     assert coefficient_of_variation(y) == coefficient_of_variation(x)
     for kappa in (0.5, 1.0, 2.0):
         assert tail_probability(y, kappa) == tail_probability(x, kappa)
+    assert np.array_equal(metrics.gini_influence(y), metrics.gini_influence(x))
+    assert np.array_equal(metrics.cv_squared_influence(y),
+                          metrics.cv_squared_influence(x))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=64))
@@ -198,6 +201,27 @@ def test_delta_and_bootstrap_se_agree_in_order_of_magnitude():
                                              master_seed=9)
     assert se_d > 0.0 and se_b > 0.0
     assert 0.3 < se_d / se_b < 3.0
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_paired_se_invariant_under_extreme_binary_scaling(shift):
+    # squares of the scaled wealth over- or underflow without the shared rescale
+    rng = np.random.default_rng(5)
+    prev = rng.lognormal(0.0, 0.5, size=400)
+    nxt = prev * rng.lognormal(-0.02, 0.2, size=400)
+    beta = 0.5
+    scaled_beta = math.ldexp(beta, shift)
+
+    def bound_with(b):
+        return lambda cv, mu: ((1.0 + 0.04) * cv**2 + 0.04) / (1.0 + b / mu) ** 2
+
+    big_prev, big_nxt = np.ldexp(prev, shift), np.ldexp(nxt, shift)
+    assert (metrics.cv_recursion_delta_se(big_prev, big_nxt, 1.0, scaled_beta, 0.2)
+            == metrics.cv_recursion_delta_se(prev, nxt, 1.0, beta, 0.2))
+    assert (metrics.cv_recursion_bootstrap_se(big_prev, big_nxt, bound_with(scaled_beta),
+                                              n_boot=16, master_seed=9)
+            == metrics.cv_recursion_bootstrap_se(prev, nxt, bound_with(beta),
+                                                 n_boot=16, master_seed=9))
 
 
 def test_bootstrap_se_deterministic_given_seed():
