@@ -168,8 +168,9 @@ def cv_squared_influence(wealth) -> np.ndarray:
     """
     x, _ = _checked(wealth)
     mu = x.mean()
+    mu2 = mu * mu  # products, not pow: exact under power-of-two rescaling
     m2 = np.mean(x * x)
-    return (x * x - m2) / mu**2 - (2.0 * m2 / mu**3) * (x - mu)
+    return (x * x - m2) / mu2 - (2.0 * m2 / (mu2 * mu)) * (x - mu)
 
 
 def gini_influence(wealth) -> np.ndarray:

@@ -13,6 +13,15 @@ Quadrature policy: 1-D adaptive integration with the inner integral of
 F done in closed form (upper partial moments of the noise law), domains
 truncated where the integrand's law puts less than ~1e-13 of its mass.
 Every reported number carries an error estimate or a tolerance.
+
+The pair integrand is the innermost loop of verify-integrals (about 150
+evaluations per pair, thousands of pairs), so it runs on Python floats:
+`math` for exp/log/erfc and `scipy.special.cython_special.gammaincc`,
+the same C routine as the `sp.gammaincc` ufunc without its per-call
+dispatch, which costs more than the routine itself.  Its values are
+bit-identical to those of the same integrand written with the ufuncs
+(the tests compare the two), so no quadrature result depends on which
+form runs.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
+from scipy.special.cython_special import gammaincc as _gammaincc
 
 from . import streams
 from .bounds import BoundParams
@@ -72,42 +82,39 @@ def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
     if not (x > 0.0 and y > 0.0):
         raise ValueError("pair integral requires x, y > 0")
 
+    # Integrand at t = ln u of the first factor's noise U, with c = x*u/y:
+    #   u*f_U(u) * (y*E[V; V > c] - x*u*P(V > c)).
+    # Keep the operation order: a reference built from the ufunc special
+    # functions (tests/test_verification.py) pins every value bit for bit.
     if kernel.family == LOGNORMAL:
         m, s = kernel.lognormal_params()
         alpha = kernel.alpha
-
-        def partial_mean(c: float) -> float:  # E[V; V > c]
-            return alpha * _ndtr((m + s * s - math.log(c)) / s)
-
-        def upper_tail(c: float) -> float:  # P(V > c)
-            return _ndtr((m - math.log(c)) / s)
-
+        m_s2 = m + s * s
+        norm = s * math.sqrt(2.0 * math.pi)
         t_lo, t_hi = m - 8.0 * s, m + 8.0 * s
 
-        def weighted_noise(t: float) -> float:  # u * f_U(u) du -> ... dt at t = ln u
+        def integrand(t: float) -> float:
+            xu = x * math.exp(t)
+            log_c = math.log(xu / y)
             z = (t - m) / s
-            return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+            mean_above = alpha * _ndtr((m_s2 - log_c) / s)  # E[V; V > c]
+            tail = _ndtr((m - log_c) / s)  # P(V > c)
+            return math.exp(-0.5 * z * z) / norm * (y * mean_above - xu * tail)
 
     else:
         k, theta = kernel.gamma_params()
-        log_norm = sp.gammaln(k) + k * math.log(theta)
-
-        def partial_mean(c: float) -> float:
-            return k * theta * sp.gammaincc(k + 1.0, c / theta)
-
-        def upper_tail(c: float) -> float:
-            return sp.gammaincc(k, c / theta)
-
+        k_theta = k * theta
+        k1 = k + 1.0
+        log_norm = float(sp.gammaln(k)) + k * math.log(theta)
         t_lo = math.log(sp.gammaincinv(k, 1e-14) * theta)
         t_hi = math.log(sp.gammainccinv(k, 1e-14) * theta)
 
-        def weighted_noise(t: float) -> float:
-            return math.exp(k * t - math.exp(t) / theta - log_norm)
-
-    def integrand(t: float) -> float:
-        u = math.exp(t)
-        c = x * u / y
-        return weighted_noise(t) * (y * partial_mean(c) - x * u * upper_tail(c))
+        def integrand(t: float) -> float:
+            u = math.exp(t)
+            xu = x * u
+            c_theta = xu / y / theta
+            return math.exp(k * t - u / theta - log_norm) * (
+                y * (k_theta * _gammaincc(k1, c_theta)) - xu * _gammaincc(k, c_theta))
 
     scale = kernel.alpha * max(x, y)
     value, err = integrate.quad(
