@@ -197,10 +197,13 @@ def _parse_search(node, path: str) -> SearchSpec:
     missing = _SEARCH_KEYS - node.keys()
     if missing:
         _fail(path, f"missing required keys {sorted(missing)}")
+    tol = _to_float(node["tol"], f"{path}.tol")
+    if not tol > 0.0:
+        _fail(f"{path}.tol", "must be positive")
     return SearchSpec(
         c_lo=_to_float(node["c_lo"], f"{path}.c_lo"),
         c_hi=_to_float(node["c_hi"], f"{path}.c_hi"),
-        tol=_to_float(node["tol"], f"{path}.tol"),
+        tol=tol,
         horizon=_to_int(node["horizon"], f"{path}.horizon"),
     )
 
@@ -285,20 +288,27 @@ def load_config(data: dict) -> RunConfig:
     if "integrals" in data:
         integ = _require_mapping(data["integrals"], "integrals")
         _reject_unknown(integ, _INTEGRALS_KEYS, "integrals")
-        if "snapshot_step" in integ:
-            kwargs["snapshot_step"] = _to_int(integ["snapshot_step"], "integrals.snapshot_step")
+        for key in ("snapshot_step", "n_trials"):
+            if key in integ:
+                kwargs[key] = _to_int(integ[key], f"integrals.{key}")
+                if kwargs[key] < 0:
+                    _fail(f"integrals.{key}", "must be nonnegative")
         if "n_pairs" in integ:
             kwargs["n_pairs"] = _to_int(integ["n_pairs"], "integrals.n_pairs")
-        if "n_trials" in integ:
-            kwargs["n_trials"] = _to_int(integ["n_trials"], "integrals.n_trials")
-        if "a_values" in integ:
-            kwargs["a_values"] = _to_float_tuple(integ["a_values"], "integrals.a_values")
+            if kwargs["n_pairs"] < 1:
+                _fail("integrals.n_pairs", "must be positive")
+        for key in ("a_values", "x_diagonal"):
+            if key in integ:
+                kwargs[key] = _to_float_tuple(integ[key], f"integrals.{key}")
+                if any(not 0.0 < v < math.inf for v in kwargs[key]):
+                    _fail(f"integrals.{key}", "values must be positive and finite")
         if "delta_values" in integ:
-            kwargs["delta_values"] = _to_float_tuple(integ["delta_values"],
-                                                     "integrals.delta_values")
-        if "x_diagonal" in integ:
-            kwargs["x_diagonal"] = _to_float_tuple(integ["x_diagonal"],
-                                                   "integrals.x_diagonal")
+            deltas = _to_float_tuple(integ["delta_values"], "integrals.delta_values")
+            # the stripe functional is defined for 0 <= delta < 0.2, and its
+            # relative error against the closed form needs delta > 0
+            if any(not 0.0 < d < 0.2 for d in deltas):
+                _fail("integrals.delta_values", "values must be in (0, 0.2)")
+            kwargs["delta_values"] = deltas
 
     if "search" in data:
         kwargs["search"] = _parse_search(data["search"], "search")

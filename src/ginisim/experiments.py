@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, streams
 from .bounds import redistribution_variability_lower_bound
 from .dynamics import run, trajectory
 from .kernels import high_probability_mass
@@ -129,8 +129,8 @@ def verify_bounds(config) -> tuple[list[tuple[str, dict]], list[str]]:
     # the hypotheses hold nowhere: leak 1 concedes the whole grow term.
     leak = 1.0
     if kernel.has_density and gamma_inv > 0.0:
-        mass = high_probability_mass(kernel, 1.0, 1.0 / gamma_inv,
-                                     which="output", n_samples=4000)
+        u = streams.indexed_uniforms(0, streams.TAG_PROBE, 0, 4000)
+        mass = high_probability_mass(kernel, 1.0, 1.0 / gamma_inv, u, which="output")
         leak = mass.mass_beyond + mass.excluded
 
     checked, raw_violations, beyond_tolerance = Counter(), Counter(), Counter()

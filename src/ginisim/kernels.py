@@ -30,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .streams import Stream
-
 DETERMINISTIC = "deterministic"
 LOGNORMAL = "lognormal"
 GAMMA = "gamma"
@@ -139,20 +137,6 @@ def transition_from_uniforms(kernel: KernelSpec, x, u) -> np.ndarray:
     return x * (kernel.alpha * w) + kernel.beta
 
 
-def sample_transition(kernel: KernelSpec, x, stream: Stream, size: int | None = None):
-    """Draw next-step wealth for scalar or per-agent current wealth.
-
-    With scalar x and ``size`` given, returns ``size`` independent draws
-    at that wealth; otherwise one draw per element of x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = int(size) if size is not None else max(x.size, 1)
-    if size is not None and x.ndim > 0:
-        raise ValueError("size is only meaningful for scalar x")
-    out = transition_from_uniforms(kernel, x, stream.uniforms(n))
-    return out if (size is not None or x.ndim > 0) else float(out[0])
-
-
 def log_density(kernel: KernelSpec, x: float, xp) -> np.ndarray:
     """log of the transition density f(x' | x); -inf outside the support."""
     if not kernel.has_density:
@@ -233,27 +217,23 @@ class MassEstimate:
     n_samples: int
 
 
-def high_probability_mass(
-    kernel: KernelSpec,
-    x: float,
-    bound: float,
-    which: str = "output",
-    n_samples: int = 20000,
-    stream: Stream | None = None,
-) -> MassEstimate:
-    """Estimate P(|log-derivative probe| <= bound) under the kernel at x."""
-    if n_samples < 1000:
+def high_probability_mass(kernel: KernelSpec, x: float, bound: float, u,
+                          which: str = "output") -> MassEstimate:
+    """Estimate P(|log-derivative probe| <= bound) under the kernel at x.
+
+    One transition is drawn per uniform in ``u``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.size < 1000:
         raise ValueError("need at least 10^3 samples for a stable mass estimate")
-    if stream is None:
-        stream = Stream(0)
-    xp = np.asarray(sample_transition(kernel, x, stream, size=n_samples))
+    xp = transition_from_uniforms(kernel, x, u)
     probe = _probe_array(kernel, x, xp, which, 1e-5)
     defined = np.isfinite(probe)
     inside = defined & (np.abs(probe) <= bound)
-    n = float(n_samples)
+    n = float(u.size)
     return MassEstimate(
         mass=np.count_nonzero(inside) / n,
         mass_beyond=np.count_nonzero(defined & ~inside) / n,
         excluded=np.count_nonzero(~defined) / n,
-        n_samples=n_samples,
+        n_samples=u.size,
     )

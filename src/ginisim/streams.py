@@ -68,21 +68,3 @@ def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarra
         out[lo:hi] = block_uniforms(master_seed, tag, step, lo // BLOCK, hi - lo)
     return out
 
-
-class Stream:
-    """Consumable handle over the keyed uniforms, for sampling APIs.
-
-    Each call to :meth:`uniforms` burns one sequence index, so repeated
-    draws are independent while the whole object stays a deterministic
-    function of ``(master_seed, tag, starting sequence)``.
-    """
-
-    def __init__(self, master_seed: int, tag: int = TAG_PROBE, sequence: int = 0):
-        self.master_seed = master_seed
-        self.tag = tag
-        self.sequence = sequence
-
-    def uniforms(self, n: int) -> np.ndarray:
-        u = indexed_uniforms(self.master_seed, self.tag, self.sequence, n)
-        self.sequence += 1
-        return u

@@ -43,13 +43,21 @@ from .kernels import (
     NoDensityError,
     _probe_array,
     high_probability_mass,
-    sample_transition,
+    transition_from_uniforms,
     unit_mean_noise,
 )
 from .metrics import tail_probability
-from .streams import Stream
 
 _SQRT2 = math.sqrt(2.0)
+
+# Fixed tolerances and sizes of the checks; the report prints the ones a
+# reader needs to interpret its numbers.
+_QUAD_TOL = 1e-6           # diagonal slack allowed for quadrature error
+_TARGET_MASS = 0.99        # calibration quantile of the probe magnitudes
+_CALIBRATION_SAMPLES = 20000
+_STRIPE_EPSREL = 1e-11     # inner window; the outer integral uses 10x
+_SLACK_CONSTANT = 5.0      # minimality threshold Y[h] * (1 - 5*delta)
+_CORE_MASS = 0.99          # pushforward core: conditional mass per agent
 
 
 class QuadratureError(RuntimeError):
@@ -129,10 +137,12 @@ def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
 
 
 def pair_split_monte_carlo(kernel: KernelSpec, x: float, y: float, n_pairs: int,
-                           stream: Stream) -> tuple[float, float]:
+                           master_seed: int) -> tuple[float, float]:
     """Monte Carlo oracle for the pair integral: (estimate, standard error)."""
-    xs = np.asarray(sample_transition(kernel, x, stream, size=n_pairs))
-    ys = np.asarray(sample_transition(kernel, y, stream, size=n_pairs))
+    xs = transition_from_uniforms(
+        kernel, x, streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n_pairs))
+    ys = transition_from_uniforms(
+        kernel, y, streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 1, n_pairs))
     gap = np.maximum(ys - xs, 0.0)
     return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(n_pairs))
 
@@ -151,19 +161,18 @@ class DiagonalRecord:
 @dataclass(frozen=True)
 class DiagonalBoundReport:
     gamma_claimed: float
-    quad_tol: float
     records: list[DiagonalRecord]
 
     @property
     def satisfied(self) -> bool:
         return all(
-            r.slack_vs_mean_scaled >= -self.quad_tol and r.slack_vs_x >= -self.quad_tol
+            r.slack_vs_mean_scaled >= -_QUAD_TOL and r.slack_vs_x >= -_QUAD_TOL
             for r in self.records
         )
 
 
-def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float,
-                         quad_tol: float = 1e-6) -> DiagonalBoundReport:
+def diagonal_bound_check(kernel: KernelSpec, x_grid,
+                         gamma_claimed: float) -> DiagonalBoundReport:
     """Check F(x,x) >= Gamma*(alpha*x+beta)/2 and >= Gamma*x/2 on a grid.
 
     ``gamma_claimed`` is the inverse log-derivative constant the kernel
@@ -181,7 +190,7 @@ def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float,
             slack_vs_mean_scaled=f - mean_scaled,
             slack_vs_x=f - gamma_claimed * x / 2.0,
         ))
-    return DiagonalBoundReport(gamma_claimed, quad_tol, records)
+    return DiagonalBoundReport(gamma_claimed, records)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,6 @@ class CalibrationResult:
 
     delta_logx: float
     delta_logxp: float
-    target_mass: float
     mass_within_logx: float
     mass_within_logxp: float
 
@@ -204,39 +212,32 @@ class CalibrationResult:
         return 1.0 / max(self.delta_logx, self.delta_logxp)
 
 
-def calibrate_log_derivative_bound(
-    kernel: KernelSpec,
-    x: float = 1.0,
-    target_mass: float = 0.99,
-    n_samples: int = 20000,
-    master_seed: int = 0,
-) -> CalibrationResult:
+def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
+                                   master_seed: int = 0) -> CalibrationResult:
     """Measure the claimed log-derivative bounds as sample quantiles.
 
     Draws transitions, probes |d log f / d log (x or x')| at each, and
-    returns the target_mass quantile of each probe's magnitude, so that
-    high_probability_mass(kernel, x, bound) ~= target_mass by
-    construction.
+    returns the 0.99 quantile of each probe's magnitude, so that the
+    high_probability_mass of each bound is ~0.99 by construction; that
+    mass is then measured on fresh draws.
     """
-    stream = Stream(master_seed, streams.TAG_PROBE)
-    xp = np.asarray(sample_transition(kernel, x, stream, size=n_samples))
+    n = _CALIBRATION_SAMPLES
+    u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n)
+    xp = transition_from_uniforms(kernel, x, u)
     out = {}
     for which in ("input", "output"):
         probe = _probe_array(kernel, x, xp, which, 1e-5)
         probe = probe[np.isfinite(probe)]
-        if probe.size < n_samples // 2:
+        if probe.size < n // 2:
             raise ValueError("too many undefined probes; cannot calibrate")
-        out[which] = float(np.quantile(np.abs(probe), target_mass))
-    mass_in = high_probability_mass(kernel, x, out["input"], which="input",
-                                    n_samples=n_samples,
-                                    stream=Stream(master_seed + 1, streams.TAG_PROBE))
-    mass_out = high_probability_mass(kernel, x, out["output"], which="output",
-                                     n_samples=n_samples,
-                                     stream=Stream(master_seed + 2, streams.TAG_PROBE))
+        out[which] = float(np.quantile(np.abs(probe), _TARGET_MASS))
+    u_in = streams.indexed_uniforms(master_seed + 1, streams.TAG_PROBE, 0, n)
+    u_out = streams.indexed_uniforms(master_seed + 2, streams.TAG_PROBE, 0, n)
+    mass_in = high_probability_mass(kernel, x, out["input"], u_in, which="input")
+    mass_out = high_probability_mass(kernel, x, out["output"], u_out, which="output")
     return CalibrationResult(
         delta_logx=out["input"],
         delta_logxp=out["output"],
-        target_mass=target_mass,
         mass_within_logx=mass_in.mass,
         mass_within_logxp=mass_out.mass,
     )
@@ -245,99 +246,44 @@ def calibrate_log_derivative_bound(
 # --- stripe functional and extremal density ------------------------------
 
 
-@dataclass(frozen=True)
-class StripeRegion:
-    """Near-diagonal stripe |x - y| < delta*x above the tail threshold."""
-
-    kappa: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.kappa < 0.5:
-            raise ValueError("kappa must be in (0, 1/2)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-
-    def contains(self, x, y, mu: float):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        lo = self.kappa * mu
-        return (np.abs(x - y) < self.delta * x) & (x > lo) & (y > lo)
-
-
 class DensityOnRay:
-    """Probability density on (a, infinity), closed-form or gridded.
+    """Closed-form probability density on (a, infinity).
 
-    ``upper`` truncates quadrature; for closed forms pick it so the
-    neglected tail mass is ~1e-10.  ``extend=True`` evaluates a closed
-    form below a as well (the cutoff-ignored variant of the functional);
-    grid densities cannot be extended.
+    ``upper`` truncates quadrature; pick it so the neglected tail mass is
+    ~1e-10.  ``extend=True`` evaluates the density below a as well (the
+    cutoff-ignored variant of the functional).
     """
 
-    def __init__(self, a: float, pdf_fn=None, grid=None, upper: float | None = None,
-                 label: str = "density"):
+    def __init__(self, a: float, pdf_fn, upper: float, label: str = "density"):
         if not a > 0.0:
             raise ValueError("lower endpoint a must be positive")
-        if (pdf_fn is None) == (grid is None):
-            raise ValueError("provide exactly one of pdf_fn or grid")
+        if not upper > a:
+            raise ValueError("upper truncation must exceed a")
         self.a = float(a)
         self.pdf_fn = pdf_fn
+        self.upper = float(upper)
         self.label = label
-        if grid is not None:
-            pts = np.asarray(grid[0], dtype=np.float64)
-            vals = np.asarray(grid[1], dtype=np.float64)
-            if pts.ndim != 1 or pts.shape != vals.shape or pts.size < 8:
-                raise ValueError("grid needs matching 1-D arrays, at least 8 points")
-            if np.any(np.diff(pts) <= 0.0) or pts[0] < a:
-                raise ValueError("grid points must increase and start at or above a")
-            if np.any(vals < 0.0):
-                raise ValueError("grid density must be nonnegative")
-            self.grid = (pts, vals)
-            self.upper = float(pts[-1])
-        else:
-            self.grid = None
-            if upper is None:
-                raise ValueError("closed-form density needs an explicit upper truncation")
-            self.upper = float(upper)
-        if not self.upper > self.a:
-            raise ValueError("upper truncation must exceed a")
 
     @classmethod
-    def extremal(cls, a: float, upper_factor: float = 1e10) -> "DensityOnRay":
+    def extremal(cls, a: float) -> "DensityOnRay":
         """The minimizer h(y) = a/y^2; tail mass beyond upper is a/upper."""
-        return cls(a, pdf_fn=lambda y: a / (y * y), upper=a * upper_factor,
-                   label="extremal")
-
-    @classmethod
-    def from_callable(cls, a: float, fn, upper: float, label: str = "callable") -> "DensityOnRay":
-        return cls(a, pdf_fn=fn, upper=upper, label=label)
-
-    @classmethod
-    def from_grid(cls, a: float, points, values, label: str = "grid") -> "DensityOnRay":
-        return cls(a, grid=(points, values), label=label)
+        return cls(a, lambda y: a / (y * y), a * 1e10, label="extremal")
 
     def pdf(self, y: float, extend: bool = False) -> float:
-        if self.grid is not None:
-            if extend:
-                raise ValueError("grid density cannot be evaluated below its cutoff")
-            pts, vals = self.grid
-            if y < pts[0] or y > pts[-1]:
-                return 0.0
-            return float(np.interp(y, pts, vals))
         if not extend and y < self.a:
             return 0.0
         if y <= 0.0:
             return 0.0
         return float(self.pdf_fn(y))
 
-    def validate(self, tol: float = 1e-6) -> float:
+    def validate(self) -> float:
         """Quadrature normalization check; returns the measured norm."""
         norm, _ = integrate.quad(
             lambda t: math.exp(t) * self.pdf(math.exp(t)),
             math.log(self.a), math.log(self.upper),
             epsabs=1e-10, epsrel=1e-9, limit=400,
         )
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > 1e-6:
             raise NonNormalizedError(
                 f"{self.label}: integrates to {norm!r} over (a, upper), not 1"
             )
@@ -350,7 +296,7 @@ def extremal_closed_form(a: float, delta: float) -> float:
 
 
 def stripe_window(p: DensityOnRay, x: float, delta: float,
-                  clip_lower: bool = True, epsrel: float = 1e-11) -> float:
+                  clip_lower: bool = True) -> float:
     """Inner mass of p over the window (x*e^-delta, x*e^delta)."""
     lo = x * math.exp(-delta)
     hi = x * math.exp(delta)
@@ -360,13 +306,12 @@ def stripe_window(p: DensityOnRay, x: float, delta: float,
         return 0.0
     extend = not clip_lower
     val, _ = integrate.quad(lambda y: p.pdf(y, extend=extend), lo, hi,
-                            epsabs=0.0, epsrel=epsrel, limit=200)
+                            epsabs=0.0, epsrel=_STRIPE_EPSREL, limit=200)
     return float(val)
 
 
 def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
-                           clip_lower: bool = True, check_norm: bool = True,
-                           epsrel: float = 1e-11) -> float:
+                           clip_lower: bool = True, check_norm: bool = True) -> float:
     """Nested quadrature of int_a x p(x) [window mass of p at x] dx.
 
     ``clip_lower=False`` ignores the lower cutoff in the inner window
@@ -387,7 +332,7 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
         fx = p.pdf(x, extend=extend)
         if fx == 0.0:
             return 0.0
-        return x * x * fx * stripe_window(p, x, delta, clip_lower, epsrel)
+        return x * x * fx * stripe_window(p, x, delta, clip_lower)
 
     t_lo, t_hi = math.log(lo), math.log(p.upper)
     # the window's lower clip disengages at x = p.a * e^delta; that kink
@@ -396,7 +341,7 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
     kink = math.log(p.a) + delta
     points = [kink] if clip_lower and t_lo < kink < t_hi else None
     val, err = integrate.quad(integrand, t_lo, t_hi,
-                              epsabs=0.0, epsrel=epsrel * 10.0, limit=400,
+                              epsabs=0.0, epsrel=_STRIPE_EPSREL * 10.0, limit=400,
                               points=points)
     if val != 0.0 and err > 1e-8 * abs(val):
         raise QuadratureError(
@@ -425,7 +370,6 @@ class TrialResult:
 class MinimalityReport:
     a: float
     delta: float
-    slack_constant: float
     y_extremal_clipped: float
     y_extremal_closed_form: float
     trials: list[TrialResult] = field(default_factory=list)
@@ -444,9 +388,8 @@ def truncated_pareto(a: float, c: float) -> DensityOnRay:
     if not c > 0.0:
         raise ValueError("tail exponent must be positive")
     upper = a * (1e10 ** (1.0 / c))  # 1e-10 tail quantile
-    return DensityOnRay.from_callable(
-        a, lambda y: c * a**c / y ** (1.0 + c), upper, label=f"pareto_c={c:g}"
-    )
+    return DensityOnRay(a, lambda y: c * a**c / y ** (1.0 + c), upper,
+                        label=f"pareto_c={c:g}")
 
 
 def rippled_extremal(a: float, m: float, omega: float) -> DensityOnRay:
@@ -463,8 +406,7 @@ def rippled_extremal(a: float, m: float, omega: float) -> DensityOnRay:
         t = math.log(y / a)
         return (a / (y * y)) * (1.0 + m * math.sin(omega * t)) / norm
 
-    return DensityOnRay.from_callable(a, fn, a * 1e10,
-                                      label=f"ripple_m={m:.3g}_w={omega:.3g}")
+    return DensityOnRay(a, fn, a * 1e10, label=f"ripple_m={m:.3g}_w={omega:.3g}")
 
 
 def _measured_logderiv(p: DensityOnRay, delta: float, n_points: int = 200) -> float:
@@ -498,46 +440,39 @@ def _window_identity_ok(p: DensityOnRay, delta: float, logderiv: float) -> bool:
     return True
 
 
-def extremal_minimality_check(
-    a: float,
-    delta: float,
-    n_trials: int,
-    master_seed: int = 0,
-    slack_constant: float = 5.0,
-    trial_densities: list[DensityOnRay] | None = None,
-    logderiv_cap: float | None = None,
-) -> MinimalityReport:
+def random_trial_densities(a: float, n_trials: int,
+                           master_seed: int) -> list[DensityOnRay]:
+    """Seeded trial densities: even trials Pareto, odd trials rippled extremal."""
+    trials = []
+    for i in range(n_trials):
+        u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, i, 3)
+        if i % 2 == 0:
+            c = math.exp(math.log(0.55) + u[0] * (math.log(3.0) - math.log(0.55)))
+            trials.append(truncated_pareto(a, c))
+        else:
+            trials.append(rippled_extremal(a, 0.1 + 0.4 * u[1], 0.5 + 2.5 * u[2]))
+    return trials
+
+
+def extremal_minimality_check(a: float, delta: float,
+                              trial_densities: list[DensityOnRay]) -> MinimalityReport:
     """Verify the extremal density minimizes the stripe functional.
 
-    Each trial density p must respect a log-derivative cap (default
-    1/delta); trials violating their measured cap are excluded and
-    counted, not failed.  For the rest the check asserts
-    Y[p] >= Y[h] * (1 - slack_constant*delta) and the window identity
-    window_mass ~= 2*delta*x*p(x) within the derivative-bound factor.
+    Each trial density p must respect the log-derivative cap 1/delta;
+    trials violating their measured cap are excluded and counted, not
+    failed.  For the rest the check asserts Y[p] >= Y[h] * (1 - 5*delta)
+    and the window identity window_mass ~= 2*delta*x*p(x) within the
+    derivative-bound factor.
     """
     if not 0.0 < delta <= 0.05:
         raise ValueError("minimality check calibrated for delta <= 0.05")
-    cap = (1.0 / delta) if logderiv_cap is None else float(logderiv_cap)
+    cap = 1.0 / delta
 
     y_closed = extremal_closed_form(a, delta)
     h = DensityOnRay.extremal(a)
     y_clipped = stripe_pair_functional(h, a, delta, clip_lower=True, check_norm=False)
 
-    if trial_densities is None:
-        trial_densities = []
-        stream = Stream(master_seed, streams.TAG_PROBE)
-        for i in range(n_trials):
-            u = stream.uniforms(3)
-            if i % 2 == 0:
-                c = math.exp(math.log(0.55) + u[0] * (math.log(3.0) - math.log(0.55)))
-                trial_densities.append(truncated_pareto(a, c))
-            else:
-                trial_densities.append(rippled_extremal(a, 0.1 + 0.4 * u[1],
-                                                        0.5 + 2.5 * u[2]))
-    else:
-        trial_densities = list(trial_densities)[: n_trials or None]
-
-    threshold = y_closed * (1.0 - slack_constant * delta)
+    threshold = y_closed * (1.0 - _SLACK_CONSTANT * delta)
     trials = []
     for p in trial_densities:
         measured = _measured_logderiv(p, delta)
@@ -554,7 +489,7 @@ def extremal_minimality_check(
         )
         trials.append(TrialResult(p.label, cap, measured, y_val, y_val / y_closed,
                                   win_ok, excluded=False, passed=passed, reason=reason))
-    return MinimalityReport(a, delta, slack_constant, y_clipped, y_closed, trials)
+    return MinimalityReport(a, delta, y_clipped, y_closed, trials)
 
 
 # --- ensemble-level gap bound --------------------------------------------
@@ -578,7 +513,8 @@ class GapBoundReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.hypotheses_met and self.lhs_mean >= self.rhs_bound
+        """The bound holds by more than 3 standard errors of the mean."""
+        return self.hypotheses_met and self.margin_se > 3.0
 
 
 def ensemble_gap_bound_check(
@@ -673,7 +609,6 @@ def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
 class PushforwardReport:
     max_abs_logderiv_core: float
     claimed_bound: float
-    core_mass: float
     grid_lo: float
     grid_hi: float
     n_excluded_agents: int
@@ -688,7 +623,6 @@ def pushforward_log_derivative_check(
     kernel: KernelSpec,
     x_grid,
     claimed_bound: float,
-    core_mass: float = 0.99,
     tol: float = 0.05,
 ) -> PushforwardReport:
     """Bound the log-derivative of the next-step population density.
@@ -697,9 +631,9 @@ def pushforward_log_derivative_check(
     log p against log x, and checks the magnitude against claimed_bound
     (plus tol) on the union of per-agent core windows: agent i
     contributes the interval beta + wealth_i * [q_lo, q_hi] where
-    q_lo, q_hi are the growth-ratio quantiles enclosing ``core_mass``
-    of its conditional mass.  The union therefore carries at least
-    ``core_mass`` of the pushforward, and on it the mixture
+    q_lo, q_hi are the growth-ratio quantiles enclosing 99% of its
+    conditional mass.  The union therefore carries at least 99% of the
+    pushforward, and on it the mixture
     log-derivative is a weighted average of component log-derivatives
     that are individually controlled.  Low-density valleys between
     separated components are excluded by construction.  Raises if the
@@ -728,9 +662,7 @@ def pushforward_log_derivative_check(
     d = np.gradient(log_p, lt)
     d_coarse = np.interp(lt, lt[::2], np.gradient(log_p[::2], lt[::2]))
 
-    if not 0.0 < core_mass < 1.0:
-        raise ValueError("core_mass must be in (0, 1)")
-    q_tail = 0.5 * (1.0 - core_mass)
+    q_tail = 0.5 * (1.0 - _CORE_MASS)
     rel_sd = kernel.gamma_disp / kernel.alpha
     ratio_lo, ratio_hi = kernel.alpha * unit_mean_noise(
         kernel.family, rel_sd, np.array([q_tail, 1.0 - q_tail])
@@ -759,7 +691,6 @@ def pushforward_log_derivative_check(
     return PushforwardReport(
         max_abs_logderiv_core=max_abs,
         claimed_bound=claimed_bound + tol,
-        core_mass=core_mass,
         grid_lo=float(grid[0]),
         grid_hi=float(grid[-1]),
         n_excluded_agents=int(n_excluded),
@@ -785,7 +716,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
 
     cal = calibrate_log_derivative_bound(kernel, x=1.0, master_seed=config.master_seed)
     sections.append(("calibration", {
-        "target_mass": cal.target_mass,
+        "target_mass": _TARGET_MASS,
         "delta_logx": cal.delta_logx,
         "delta_logxp": cal.delta_logxp,
         "gamma_inv": cal.gamma_inv,
@@ -794,7 +725,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     }))
 
     diag = diagonal_bound_check(kernel, config.x_diagonal, cal.gamma_inv)
-    fields = {"gamma_claimed": diag.gamma_claimed, "quad_tol": diag.quad_tol}
+    fields = {"gamma_claimed": diag.gamma_claimed, "quad_tol": _QUAD_TOL}
     for rec in diag.records:
         fields[f"f_diag[x={rec.x:g}]"] = rec.f_diag
         fields[f"slack_mean_scaled[x={rec.x:g}]"] = rec.slack_vs_mean_scaled
@@ -816,11 +747,11 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     fields["pass"] = max_rel <= 1e-9
     sections.append(("stripe_functional", fields))
 
-    mini = extremal_minimality_check(a=1.0, delta=0.01, n_trials=config.n_trials,
-                                     master_seed=config.master_seed)
+    trials = random_trial_densities(1.0, config.n_trials, config.master_seed)
+    mini = extremal_minimality_check(a=1.0, delta=0.01, trial_densities=trials)
     fields = {
         "a": mini.a, "delta": mini.delta,
-        "slack_constant": mini.slack_constant,
+        "slack_constant": _SLACK_CONSTANT,
         "y_extremal_closed_form": mini.y_extremal_closed_form,
         "y_extremal_clipped": mini.y_extremal_clipped,
         "n_trials": len(mini.trials),
@@ -851,7 +782,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
         "lhs_mean": gap.lhs_mean, "standard_error": gap.standard_error,
         "rhs_bound": gap.rhs_bound, "margin_se": gap.margin_se,
         "epsilon": gap.epsilon,
-        "pass": gap.hypotheses_met and gap.margin_se > 3.0,
+        "pass": gap.satisfied,
     }))
 
     sub = PopulationState(pop.wealth[:2048], pop.t)
@@ -864,7 +795,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     sections.append(("pushforward", {
         "max_abs_logderiv_core": push.max_abs_logderiv_core,
         "claimed_bound": push.claimed_bound,
-        "core_mass": push.core_mass,
+        "core_mass": _CORE_MASS,
         "pass": push.satisfied,
     }))
 

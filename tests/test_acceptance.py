@@ -256,9 +256,7 @@ def test_08_general_condition_recovers_linear_policy():
 def test_09_extremal_stripe_functional(integrals_report):
     worst = integrals_report["stripe_functional"]["max_rel_err"]
     paretos = [truncated_pareto(1.0, c) for c in (0.5, 1.0, 1.5, 2.0, 3.0)]
-    explicit = extremal_minimality_check(a=1.0, delta=0.01,
-                                         n_trials=len(paretos),
-                                         trial_densities=paretos)
+    explicit = extremal_minimality_check(a=1.0, delta=0.01, trial_densities=paretos)
     min_ratio = min(t.ratio_to_extremal for t in explicit.trials)
     ok = (worst <= 1e-9
           and explicit.all_passed and explicit.n_excluded == 0

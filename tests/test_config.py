@@ -159,8 +159,18 @@ def test_output_and_integrals_parsing():
     assert cfg.snapshot_step == 5 and cfg.n_pairs == 100
     assert cfg.a_values == (1.0, 2.0)
 
-    with pytest.raises(ConfigError, match="non-empty list"):
-        load_config(base(integrals={"a_values": []}))
+    for integrals, match in [
+        ({"a_values": []}, "non-empty list"),
+        ({"snapshot_step": -1}, r"^integrals\.snapshot_step: must be nonnegative"),
+        ({"n_trials": -2}, r"^integrals\.n_trials: must be nonnegative"),
+        ({"n_pairs": 0}, r"^integrals\.n_pairs: must be positive"),
+        ({"a_values": [1.0, 0]}, r"^integrals\.a_values: values must be positive"),
+        ({"x_diagonal": [-1]}, r"^integrals\.x_diagonal: values must be positive"),
+        ({"delta_values": [0]}, r"^integrals\.delta_values: values must be in \(0, 0\.2\)"),
+        ({"delta_values": [0.3]}, r"^integrals\.delta_values: values must be in"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            load_config(base(integrals=integrals))
 
 
 def test_search_parsing():
@@ -172,6 +182,9 @@ def test_search_parsing():
     with pytest.raises(ConfigError, match="expected an integer"):
         load_config(base(search={"c_lo": 0.002, "c_hi": 0.05, "tol": 0.01,
                                  "horizon": 80.5}))
+    with pytest.raises(ConfigError, match=r"^search\.tol: must be positive"):
+        load_config(base(search={"c_lo": 0.002, "c_hi": 0.05, "tol": 0,
+                                 "horizon": 100}))
 
 
 def test_with_overrides():

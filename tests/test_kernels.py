@@ -20,16 +20,19 @@ from ginisim.kernels import (
     high_probability_mass,
     log_density,
     log_derivative_probe,
-    sample_transition,
     transition_from_uniforms,
     unit_mean_noise,
 )
-from ginisim.streams import TAG_PROBE, Stream
+from ginisim.streams import TAG_PROBE, indexed_uniforms
 
 
 LOGN = KernelSpec(family=LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2)
 GAMM = KernelSpec(family=GAMMA, alpha=1.02, beta=0.0, gamma_disp=0.2)
 DET = KernelSpec(family=DETERMINISTIC, alpha=1.05, beta=0.5, gamma_disp=0.0)
+
+
+def _u(n, seed=0):
+    return indexed_uniforms(seed, TAG_PROBE, 0, n)
 
 
 def test_conditional_moments_hand_values():
@@ -67,25 +70,15 @@ def test_moment_matching_identities():
 
 
 def test_deterministic_sample_is_exact():
-    assert sample_transition(DET, 10.0, Stream(0)) == 11.0
+    assert transition_from_uniforms(DET, 10.0, _u(1)).tolist() == [11.0]
 
 
 def test_zero_wealth_maps_to_salary_for_every_family():
     for k in (DET, LOGN, GAMM):
         k = KernelSpec(family=k.family, alpha=k.alpha, beta=0.5,
                        gamma_disp=k.gamma_disp)
-        draws = sample_transition(k, 0.0, Stream(3), size=100)
+        draws = transition_from_uniforms(k, 0.0, _u(100, seed=3))
         np.testing.assert_array_equal(draws, np.full(100, 0.5))
-
-
-def test_sample_transition_scalar_returns_float():
-    out = sample_transition(LOGN, 2.0, Stream(1))
-    assert isinstance(out, float)
-
-
-def test_sample_transition_size_with_vector_rejected():
-    with pytest.raises(ValueError, match="scalar x"):
-        sample_transition(LOGN, np.array([1.0, 2.0]), Stream(0), size=5)
 
 
 @pytest.mark.parametrize("kernel", [LOGN, GAMM], ids=["lognormal", "gamma"])
@@ -93,7 +86,7 @@ def test_sampled_moments_match_conditionals_within_5_se(kernel):
     n = 10**6
     x = 100.0
     k = KernelSpec(family=kernel.family, alpha=1.0, beta=0.0, gamma_disp=0.2)
-    draws = np.asarray(sample_transition(k, x, Stream(17), size=n))
+    draws = transition_from_uniforms(k, x, _u(n, seed=17))
     assert draws.min() > 0.0  # support invariant
     target_mean = float(conditional_mean(k, x))
     target_var = float(conditional_variance(k, x))
@@ -187,10 +180,10 @@ def test_probe_stencil_outside_support_raises():
 
 
 def test_high_probability_mass_limits():
-    est = high_probability_mass(LOGN, 1.0, math.inf, n_samples=2000)
+    est = high_probability_mass(LOGN, 1.0, math.inf, _u(2000))
     assert est.mass == 1.0
     assert est.mass_beyond == 0.0
-    est = high_probability_mass(LOGN, 1.0, 0.0, n_samples=2000)
+    est = high_probability_mass(LOGN, 1.0, 0.0, _u(2000))
     assert est.mass == 0.0
     assert est.mass + est.mass_beyond + est.excluded == pytest.approx(1.0)
 
@@ -202,14 +195,13 @@ def test_high_probability_mass_gaussian_tail_example():
     k = KernelSpec(family=LOGNORMAL, alpha=1.0, beta=0.0, gamma_disp=gamma_disp)
     m, s = k.lognormal_params()
     assert s == pytest.approx(0.1, rel=1e-12)
-    est = high_probability_mass(k, 1.0, 50.0, which="output", n_samples=20000)
+    est = high_probability_mass(k, 1.0, 50.0, _u(20000), which="output")
     assert est.mass >= 0.99
 
 
 def test_high_probability_mass_monotone_in_bound():
     masses = [
-        high_probability_mass(LOGN, 1.0, b, n_samples=4000,
-                              stream=Stream(5, TAG_PROBE)).mass
+        high_probability_mass(LOGN, 1.0, b, _u(4000, seed=5)).mass
         for b in (0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
     ]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
@@ -217,7 +209,7 @@ def test_high_probability_mass_monotone_in_bound():
 
 def test_high_probability_mass_sample_floor():
     with pytest.raises(ValueError, match="10\\^3 samples"):
-        high_probability_mass(LOGN, 1.0, 1.0, n_samples=999)
+        high_probability_mass(LOGN, 1.0, 1.0, _u(999))
 
 
 def test_unit_mean_noise_is_mean_one():

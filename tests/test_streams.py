@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from ginisim.streams import (
     BLOCK,
     TAG_INIT,
-    TAG_PROBE,
     TAG_STEP,
-    Stream,
     block_uniforms,
     indexed_uniforms,
     uniforms_from_raw,
@@ -56,16 +54,6 @@ def test_key_components_separate_streams():
     assert not np.array_equal(base, block_uniforms(5, TAG_INIT, 2, 1, 256))
     assert not np.array_equal(base, block_uniforms(5, TAG_STEP, 3, 1, 256))
     assert not np.array_equal(base, block_uniforms(5, TAG_STEP, 2, 2, 256))
-
-
-def test_stream_burns_sequence_per_call():
-    s = Stream(11, TAG_PROBE, sequence=0)
-    first = s.uniforms(64)
-    second = s.uniforms(64)
-    np.testing.assert_array_equal(first, indexed_uniforms(11, TAG_PROBE, 0, 64))
-    np.testing.assert_array_equal(second, indexed_uniforms(11, TAG_PROBE, 1, 64))
-    assert s.sequence == 2
-    assert not np.array_equal(first, second)
 
 
 def test_block_index_range_checked():

@@ -11,12 +11,11 @@ from scipy.special import cython_special, ndtri
 from ginisim import streams
 from ginisim.bounds import BoundParams
 from ginisim.dynamics import PopulationState, initial_lognormal, initial_point
-from ginisim.kernels import DETERMINISTIC, GAMMA, LOGNORMAL, KernelSpec, NoDensityError
-from ginisim.streams import Stream
+from ginisim.kernels import (DETERMINISTIC, GAMMA, LOGNORMAL, KernelSpec, NoDensityError,
+                             transition_from_uniforms)
 from ginisim.verification import (
     DensityOnRay,
     NonNormalizedError,
-    StripeRegion,
     _ndtr,
     calibrate_log_derivative_bound,
     diagonal_bound_check,
@@ -27,6 +26,7 @@ from ginisim.verification import (
     pair_split_integral,
     pair_split_monte_carlo,
     pushforward_log_derivative_check,
+    random_trial_densities,
     stripe_pair_functional,
     truncated_pareto,
 )
@@ -47,8 +47,7 @@ def test_pair_integral_against_monte_carlo():
     kernel = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.3, gamma_disp=0.25)
     for x, y in [(2.0, 2.0), (1.5, 0.7)]:
         exact = pair_split_integral(kernel, x, y)
-        est, se = pair_split_monte_carlo(kernel, x, y, 40000,
-                                         Stream(5, streams.TAG_PROBE))
+        est, se = pair_split_monte_carlo(kernel, x, y, 40000, master_seed=5)
         assert abs(exact - est) < 5.0 * se
 
 
@@ -57,11 +56,11 @@ def test_pair_symmetry_is_absolute_difference():
     kernel = KernelSpec(GAMMA, alpha=1.1, beta=0.2, gamma_disp=0.4)
     x, y = 1.5, 0.7
     total = pair_split_integral(kernel, x, y) + pair_split_integral(kernel, y, x)
-    stream = Stream(9, streams.TAG_PROBE)
-    from ginisim.kernels import sample_transition
-    xs = sample_transition(kernel, x, stream, size=40000)
-    ys = sample_transition(kernel, y, stream, size=40000)
-    gap = np.abs(np.asarray(xs) - np.asarray(ys))
+    xs = transition_from_uniforms(
+        kernel, x, streams.indexed_uniforms(9, streams.TAG_PROBE, 0, 40000))
+    ys = transition_from_uniforms(
+        kernel, y, streams.indexed_uniforms(9, streams.TAG_PROBE, 1, 40000))
+    gap = np.abs(xs - ys)
     assert abs(total - gap.mean()) < 5.0 * gap.std(ddof=1) / math.sqrt(gap.size)
 
 
@@ -172,7 +171,7 @@ def test_diagonal_bound_check_slack_scaling():
 
 def test_calibration_structure():
     kernel = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.5, gamma_disp=0.3)
-    cal = calibrate_log_derivative_bound(kernel, x=1.0, target_mass=0.99)
+    cal = calibrate_log_derivative_bound(kernel, x=1.0)
     assert 0.0 < cal.delta_logx < math.inf
     assert 0.0 < cal.delta_logxp < math.inf
     assert cal.gamma_inv == pytest.approx(
@@ -182,31 +181,16 @@ def test_calibration_structure():
 
 
 def test_density_on_ray_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        DensityOnRay(1.0)
-    with pytest.raises(ValueError, match="at least 8 points"):
-        DensityOnRay.from_grid(1.0, np.linspace(1, 2, 7), np.ones(7))
-    with pytest.raises(ValueError, match="must increase"):
-        DensityOnRay.from_grid(1.0, np.array([1, 2, 2, 3, 4, 5, 6, 7.0]), np.ones(8))
-    with pytest.raises(ValueError, match="start at or above"):
-        DensityOnRay.from_grid(1.0, np.linspace(0.5, 2, 9), np.ones(9))
-    with pytest.raises(ValueError, match="nonnegative"):
-        DensityOnRay.from_grid(1.0, np.linspace(1, 2, 9), -np.ones(9))
     with pytest.raises(ValueError, match="upper truncation"):
-        DensityOnRay.from_callable(1.0, lambda y: 1.0, upper=0.5)
+        DensityOnRay(1.0, lambda y: 1.0, upper=0.5)
     with pytest.raises(ValueError, match="positive"):
         DensityOnRay.extremal(0.0)
-
-    grid = DensityOnRay.from_grid(2.0, np.linspace(2, 3, 11), np.ones(11))
-    assert grid.pdf(5.0) == 0.0
-    with pytest.raises(ValueError, match="cannot be evaluated below"):
-        grid.pdf(1.5, extend=True)
 
     h = DensityOnRay.extremal(1.0)
     assert h.pdf(0.5) == 0.0          # below the cutoff
     assert h.pdf(0.5, extend=True) == 4.0
     assert h.validate() == pytest.approx(1.0, abs=1e-8)
-    heavy = DensityOnRay.from_callable(1.0, lambda y: 2.0 / y**2, upper=1e10)
+    heavy = DensityOnRay(1.0, lambda y: 2.0 / y**2, upper=1e10)
     with pytest.raises(NonNormalizedError, match="integrates to"):
         heavy.validate()
 
@@ -247,27 +231,25 @@ def test_stripe_quadratic_convergence():
 def test_stripe_narrow_bump_equals_mean():
     # a bump far above the cutoff whose window always holds all its mass:
     # the functional collapses to E[X]
-    pts = np.linspace(2.95, 3.05, 201)
-    vals = 20.0 - 400.0 * np.abs(pts - 3.0)
-    bump = DensityOnRay.from_grid(2.95, pts, vals, label="bump")
+    bump = DensityOnRay(2.95, lambda y: max(20.0 - 400.0 * abs(y - 3.0), 0.0),
+                        upper=3.05, label="bump")
     val = stripe_pair_functional(bump, 1.0, 0.05)
     assert val == pytest.approx(3.0, rel=1e-3)
 
 
 def test_minimality_report_basics():
-    report = extremal_minimality_check(2.0, 0.03, n_trials=0)
+    report = extremal_minimality_check(2.0, 0.03, [])
     assert report.trials == [] and report.all_passed and report.n_excluded == 0
     assert report.y_extremal_closed_form == extremal_closed_form(2.0, 0.03)
     assert report.y_extremal_clipped == pytest.approx(
         2.0 * (0.03 + 1.0 - math.exp(-0.03)), rel=1e-6)
     with pytest.raises(ValueError, match="delta <= 0.05"):
-        extremal_minimality_check(1.0, 0.06, n_trials=0)
+        extremal_minimality_check(1.0, 0.06, [])
 
 
 def test_minimality_explicit_pareto_trials():
     trials = [truncated_pareto(1.0, c) for c in (0.5, 1.0, 2.0)]
-    report = extremal_minimality_check(1.0, 0.01, n_trials=3,
-                                       trial_densities=trials)
+    report = extremal_minimality_check(1.0, 0.01, trials)
     assert report.n_excluded == 0 and report.all_passed
     labels = [t.label for t in report.trials]
     assert labels == ["pareto_c=0.5", "pareto_c=1", "pareto_c=2"]
@@ -279,8 +261,7 @@ def test_minimality_explicit_pareto_trials():
 
 def test_minimality_cap_exclusion():
     steep = truncated_pareto(1.0, 200.0)  # log-derivative 201 >> 1/delta
-    report = extremal_minimality_check(1.0, 0.01, n_trials=1,
-                                       trial_densities=[steep])
+    report = extremal_minimality_check(1.0, 0.01, [steep])
     assert report.n_excluded == 1
     assert report.trials[0].excluded and not report.trials[0].passed
     assert "cap violated" in report.trials[0].reason
@@ -288,22 +269,11 @@ def test_minimality_cap_exclusion():
 
 
 def test_minimality_auto_trials():
-    report = extremal_minimality_check(1.0, 0.01, n_trials=6, master_seed=0)
+    report = extremal_minimality_check(1.0, 0.01, random_trial_densities(1.0, 6, 0))
     assert len(report.trials) == 6 and report.n_excluded == 0
     assert report.all_passed
     assert report.trials[0].label.startswith("pareto_c=")
     assert report.trials[1].label.startswith("ripple_")
-
-
-def test_stripe_region():
-    with pytest.raises(ValueError, match="kappa"):
-        StripeRegion(0.5, 0.1)
-    with pytest.raises(ValueError, match="delta"):
-        StripeRegion(0.25, 0.0)
-    region = StripeRegion(0.25, 0.1)
-    hits = region.contains(np.array([2.0, 2.0, 0.9]),
-                           np.array([2.1, 2.3, 0.95]), mu=4.0)
-    assert hits.tolist() == [True, False, False]
 
 
 def test_ensemble_gap_hypothesis_failures():
@@ -396,8 +366,6 @@ def test_pushforward_error_paths():
     shifted = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.6, gamma_disp=0.2)
     with pytest.raises(ValueError, match="support edge at beta"):
         pushforward_log_derivative_check(pop, shifted, good, 10.0)
-    with pytest.raises(ValueError, match="core_mass"):
-        pushforward_log_derivative_check(pop, LN, good, 10.0, core_mass=1.0)
     far = np.geomspace(100.0, 200.0, 64)
     with pytest.raises(ValueError, match="fewer than 8 points"):
         pushforward_log_derivative_check(pop, LN, far, 10.0)
