@@ -23,10 +23,17 @@ _MASK64 = (1 << 64) - 1
 BLOCK = 4096
 
 # Purpose tags keep independent uses of randomness on disjoint keys even
-# when they share a step index.
-TAG_STEP = 0
-TAG_INIT = 1
-TAG_PROBE = 2
+# when they share a step index.  Each tag has one owner, which draws
+# under the run's own master seed unless noted:
+TAG_STEP = 0         # dynamics: transition draws, sequence = time step
+TAG_INIT = 1         # dynamics: random initial conditions, sequence 0
+TAG_PROBE = 2        # metrics: bootstrap resamples; verification: the
+                     # pair-integral Monte Carlo oracle; verify-bounds:
+                     # its leak estimate, always at seed 0, sequence 0
+TAG_CALIBRATION = 3  # calibration: sequence 0 transitions, 1 input mass,
+                     # 2 output mass
+TAG_PAIRS = 4        # ensemble gap: pair indices i (0) and j (1)
+TAG_TRIALS = 5       # extremal minimality: sequence i for trial i
 
 _TAG_BITS = 56
 _STEP_BITS = 24

@@ -222,7 +222,7 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
     mass is then measured on fresh draws.
     """
     n = _CALIBRATION_SAMPLES
-    u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n)
+    u = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 0, n)
     xp = transition_from_uniforms(kernel, x, u)
     out = {}
     for which in ("input", "output"):
@@ -231,8 +231,8 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
         if probe.size < n // 2:
             raise ValueError("too many undefined probes; cannot calibrate")
         out[which] = float(np.quantile(np.abs(probe), _TARGET_MASS))
-    u_in = streams.indexed_uniforms(master_seed + 1, streams.TAG_PROBE, 0, n)
-    u_out = streams.indexed_uniforms(master_seed + 2, streams.TAG_PROBE, 0, n)
+    u_in = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 1, n)
+    u_out = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 2, n)
     mass_in = high_probability_mass(kernel, x, out["input"], u_in, which="input")
     mass_out = high_probability_mass(kernel, x, out["output"], u_out, which="output")
     return CalibrationResult(
@@ -445,7 +445,7 @@ def random_trial_densities(a: float, n_trials: int,
     """Seeded trial densities: even trials Pareto, odd trials rippled extremal."""
     trials = []
     for i in range(n_trials):
-        u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, i, 3)
+        u = streams.indexed_uniforms(master_seed, streams.TAG_TRIALS, i, 3)
         if i % 2 == 0:
             c = math.exp(math.log(0.55) + u[0] * (math.log(3.0) - math.log(0.55)))
             trials.append(truncated_pareto(a, c))
@@ -550,8 +550,8 @@ def ensemble_gap_bound_check(
     rhs = (params.delta_stripe * params.kappa * mu
            * params.gamma_inv_logderiv * (1.0 - eps) * p_tail**2)
 
-    u1 = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n_pairs)
-    u2 = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 1, n_pairs)
+    u1 = streams.indexed_uniforms(master_seed, streams.TAG_PAIRS, 0, n_pairs)
+    u2 = streams.indexed_uniforms(master_seed, streams.TAG_PAIRS, 1, n_pairs)
     ii = np.minimum((u1 * n).astype(np.int64), n - 1)
     jj = np.minimum((u2 * n).astype(np.int64), n - 1)
 

@@ -10,6 +10,7 @@ from scipy.special import cython_special, ndtri
 
 from ginisim import streams
 from ginisim.bounds import BoundParams
+from ginisim.config import load_config
 from ginisim.dynamics import PopulationState, initial_lognormal, initial_point
 from ginisim.kernels import (DETERMINISTIC, GAMMA, LOGNORMAL, KernelSpec, NoDensityError,
                              transition_from_uniforms)
@@ -29,6 +30,7 @@ from ginisim.verification import (
     random_trial_densities,
     stripe_pair_functional,
     truncated_pareto,
+    verify_integrals,
 )
 
 LN = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2)
@@ -307,6 +309,31 @@ def test_ensemble_gap_too_many_excluded():
     assert not report.hypotheses_met
     assert "too many excluded pairs" in report.message
     assert report.n_excluded > 0
+
+
+def test_diagnostic_streams_are_disjoint(monkeypatch):
+    # every (master_seed, tag, sequence) key one verify-integrals run draws
+    # is drawn once, under the config's own seed
+    config = load_config({
+        "kernel": {"family": "lognormal", "alpha": 1.02, "gamma_disp": 0.2},
+        "population": {"n_agents": 500, "steps": 5},
+        "master_seed": 7,
+        "integrals": {"snapshot_step": 5, "n_pairs": 100, "n_trials": 2,
+                      "a_values": [1.0], "delta_values": [0.01], "x_diagonal": [1.0]},
+    })
+    keys = []
+    draw = streams.indexed_uniforms
+
+    def recording(master_seed, tag, sequence, n):
+        keys.append((master_seed, tag, sequence))
+        return draw(master_seed, tag, sequence, n)
+
+    monkeypatch.setattr(streams, "indexed_uniforms", recording)
+    verify_integrals(config)
+    assert {tag for _, tag, _ in keys} >= {
+        streams.TAG_STEP, streams.TAG_CALIBRATION, streams.TAG_PAIRS, streams.TAG_TRIALS}
+    assert len(set(keys)) == len(keys)
+    assert {seed for seed, _, _ in keys} == {7}
 
 
 def _lognormal_shape(kernel):
