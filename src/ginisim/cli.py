@@ -23,6 +23,7 @@ with 17 significant digits (exact round trip); human-facing prints use
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import metrics
@@ -164,11 +165,7 @@ def cmd_verify_integrals(args) -> int:
 
 def cmd_search_threshold(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, None)
-    if config.search is None:
-        raise ConfigError("search: section required for search-threshold")
-    spec = config.search
-    result = find_min_stabilizing_salary_fraction(
-        config, spec.c_lo, spec.c_hi, spec.tol, spec.horizon)
+    result = find_min_stabilizing_salary_fraction(config)
     lines = ["scenario,c,final_gini,final_cv,verdict"]
     for p in result.probes:
         lines.append(f"probe_c={p.c:.6g},{_f17(p.c)},{_f17(p.final_gini)},"
@@ -198,13 +195,22 @@ def cmd_gini(args) -> int:
                 if not text:
                     continue
                 try:
-                    values.append(float(text))
+                    value = float(text)
                 except ValueError:
                     print(f"{args.input}:{lineno}: not a number: {text!r}",
                           file=sys.stderr)
                     return 2
+                if not 0.0 <= value < math.inf:
+                    print(f"{args.input}:{lineno}: wealth must be finite and "
+                          f"nonnegative: {text!r}", file=sys.stderr)
+                    return 2
+                values.append(value)
     except FileNotFoundError:
         print(f"input file not found: {args.input}", file=sys.stderr)
+        return 2
+    if len(values) < 2 or not any(values):
+        print(f"{args.input}: need at least 2 values with a positive total, "
+              f"got {len(values)} summing to {sum(values):g}", file=sys.stderr)
         return 2
     g = metrics.gini(values)
     cv = metrics.coefficient_of_variation(values)

@@ -2,9 +2,7 @@
 
 The file is a nested mapping; unknown keys anywhere are errors (no
 silent typo acceptance), and every violation message carries the field
-path.  Only the linear and proportional policy modes are expressible in
-a file; the general mode needs a redistribution callable and lives at
-the library level.
+path.
 """
 
 from __future__ import annotations
@@ -26,7 +24,9 @@ class ConfigError(ValueError):
 _KERNEL_KEYS = {"family", "alpha", "beta", "gamma_disp", "delta_logx", "delta_logxp"}
 _POLICY_KEYS = {"mode", "salary_fraction"}
 _POPULATION_KEYS = {"n_agents", "steps", "initial"}
-_INITIAL_KEYS = {"kind", "value", "low", "high", "mean", "cv"}
+# the keys each initial kind takes besides "kind", and whether each is required
+_INITIAL_KEYS = {"point": {"value": False}, "uniform": {"low": True, "high": True},
+                 "lognormal": {"mean": False, "cv": True}}
 _BOUNDS_KEYS = {"kappa_grid", "kappa", "delta_stripe", "epsilon", "gamma_logderiv"}
 _OUTPUT_KEYS = {"trajectory", "final_population"}
 _INTEGRALS_KEYS = {"snapshot_step", "n_pairs", "n_trials", "a_values",
@@ -176,18 +176,27 @@ def _parse_kernel(node, path: str) -> KernelSpec:
 
 def _parse_initial(node, path: str) -> InitialSpec:
     node = _require_mapping(node, path)
-    _reject_unknown(node, _INITIAL_KEYS, path)
     kind = node.get("kind", "point")
-    if kind not in ("point", "uniform", "lognormal"):
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
         _fail(f"{path}.kind", f"unknown initial condition {kind!r}")
-    params = {}
-    for key in ("value", "low", "high", "mean", "cv"):
-        if key in node:
-            params[key] = _to_float(node[key], f"{path}.{key}")
-    required = {"point": set(), "uniform": {"low", "high"}, "lognormal": {"cv"}}[kind]
-    missing = required - params.keys()
+    keys = _INITIAL_KEYS[kind]
+    _reject_unknown(node, {"kind", *keys}, path)
+    missing = [key for key, required in keys.items() if required and key not in node]
     if missing:
         _fail(path, f"initial kind {kind!r} needs keys {sorted(missing)}")
+    params = {key: _to_float(node[key], f"{path}.{key}") for key in keys if key in node}
+    for key, value in params.items():
+        if not value < math.inf:
+            _fail(f"{path}.{key}", "must be finite")
+        if kind == "point" and not value >= 0.0:
+            _fail(f"{path}.{key}", "must be nonnegative")
+        if kind == "lognormal" and not value > 0.0:
+            _fail(f"{path}.{key}", "must be positive")
+    if kind == "uniform":
+        if not params["low"] >= 0.0:
+            _fail(f"{path}.low", "must be nonnegative")
+        if not params["high"] > params["low"]:
+            _fail(f"{path}.high", "must be greater than low")
     return InitialSpec(kind=kind, params=params)
 
 
@@ -197,15 +206,21 @@ def _parse_search(node, path: str) -> SearchSpec:
     missing = _SEARCH_KEYS - node.keys()
     if missing:
         _fail(path, f"missing required keys {sorted(missing)}")
-    tol = _to_float(node["tol"], f"{path}.tol")
-    if not tol > 0.0:
-        _fail(f"{path}.tol", "must be positive")
-    return SearchSpec(
+    spec = SearchSpec(
         c_lo=_to_float(node["c_lo"], f"{path}.c_lo"),
         c_hi=_to_float(node["c_hi"], f"{path}.c_hi"),
-        tol=tol,
+        tol=_to_float(node["tol"], f"{path}.tol"),
         horizon=_to_int(node["horizon"], f"{path}.horizon"),
     )
+    if not spec.c_lo >= 0.0:
+        _fail(f"{path}.c_lo", "must be >= 0")
+    if not spec.c_lo < spec.c_hi < math.inf:
+        _fail(f"{path}.c_hi", "must be finite and greater than c_lo")
+    if not spec.tol > 0.0:
+        _fail(f"{path}.tol", "must be positive")
+    if spec.horizon < 1:
+        _fail(f"{path}.horizon", "must be at least 1")
+    return spec
 
 
 def load_config(data: dict) -> RunConfig:
@@ -252,6 +267,11 @@ def load_config(data: dict) -> RunConfig:
             if c < 0.0:
                 _fail("policy.salary_fraction", "must be >= 0")
             kwargs["salary_fraction"] = c
+            # the simulation sets beta_t = c * mu_t, while verify-integrals
+            # would check a kernel with the file's beta
+            if kernel.beta != 0.0:
+                _fail("kernel.beta", "must be 0 in proportional mode, where "
+                      "beta_t = salary_fraction * mean")
         elif "salary_fraction" in pol:
             _fail("policy.salary_fraction", "only meaningful in proportional mode")
 
@@ -316,13 +336,8 @@ def load_config(data: dict) -> RunConfig:
     try:
         cfg = RunConfig(**kwargs)
         cfg.bound_params()  # validates kappa, delta_stripe, epsilon, gamma
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if cfg.mode == "proportional" and cfg.salary_fraction is None:
-        _fail("policy", "proportional mode needs 'salary_fraction'")
     return cfg
 
 

@@ -5,14 +5,12 @@ The wealth distribution is represented as a finite ensemble of agents
 agent transitions independently given its current wealth, so a step is
 embarrassingly parallel.
 
-Growth policies come in three modes:
+Growth policies come in the two salary regimes a config can express:
 
-* Linear: conditional mean alpha_t * x + beta_t from explicit schedules
-  (defaulting to the kernel's own alpha, beta).
+* Linear: conditional mean alpha * x + beta with the kernel's own
+  constant alpha and beta.
 * Proportional: beta_t = c * mu_t evaluated on the current empirical
   mean; the feedback form of the transfer.
-* General: conditional mean growth_factor_t * x + redistribution_t(x),
-  the redistribution recentred to empirical mean zero each step.
 
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
@@ -26,7 +24,7 @@ adds the bound records and the coefficients on top of it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +38,6 @@ from .kernels import (
     transition_from_uniforms,
     unit_mean_noise,
 )
-
-LINEAR = "linear"
-PROPORTIONAL = "proportional"
-GENERAL = "general"
 
 
 class PopulationState:
@@ -73,57 +67,34 @@ class PopulationState:
         return self.wealth.size
 
 
-def _as_schedule(value) -> Callable[[int], float] | None:
-    if value is None or callable(value):
-        return value
-    v = float(value)
-    return lambda t: v
-
-
 @dataclass(frozen=True)
 class GrowthPolicy:
-    """How the conditional mean of the next step depends on current wealth."""
+    """How the conditional mean of the next step depends on current wealth.
 
-    mode: str
-    alpha_schedule: Callable[[int], float] | None = None
-    beta_schedule: Callable[[int], float] | None = None
+    ``salary_fraction`` None keeps the kernel's constant beta; a number c
+    sets beta_t = c * mu_t.
+    """
+
     salary_fraction: float | None = None
-    growth_schedule: Callable[[int], float] | None = None
-    redistribution: Callable[[int, np.ndarray, float], np.ndarray] | None = None
 
     @classmethod
-    def linear(cls, alpha=None, beta=None) -> "GrowthPolicy":
-        """Explicit schedules; None falls back to the kernel's own value."""
-        return cls(LINEAR, _as_schedule(alpha), _as_schedule(beta))
+    def linear(cls) -> "GrowthPolicy":
+        """The kernel's own (alpha, beta)."""
+        return cls()
 
     @classmethod
-    def proportional(cls, salary_fraction: float, alpha=None) -> "GrowthPolicy":
+    def proportional(cls, salary_fraction: float) -> "GrowthPolicy":
         """Transfer proportional to the running empirical mean."""
         c = float(salary_fraction)
         if c < 0.0:
             raise ValueError("salary fraction must be >= 0")
-        return cls(PROPORTIONAL, _as_schedule(alpha), None, salary_fraction=c)
+        return cls(c)
 
-    @classmethod
-    def general(cls, growth_factor, redistribution) -> "GrowthPolicy":
-        """Arbitrary mean split; the redistribution is recentred per step."""
-        return cls(GENERAL, growth_schedule=_as_schedule(growth_factor),
-                   redistribution=redistribution)
-
-    def linear_coefficients(self, t: int, mu: float, kernel: KernelSpec) -> tuple[float, float]:
-        """(alpha_t, beta_t) as they will act on the population at time t."""
-        if self.mode == GENERAL:
-            raise ValueError("general mode has no (alpha, beta) pair")
-        alpha = kernel.alpha if self.alpha_schedule is None else float(self.alpha_schedule(t))
-        if self.mode == PROPORTIONAL:
-            beta = self.salary_fraction * mu
-        else:
-            beta = kernel.beta if self.beta_schedule is None else float(self.beta_schedule(t))
-        if not alpha >= 1.0:
-            raise ValueError(f"alpha schedule returned {alpha} < 1 at t={t}")
-        if beta < 0.0:
-            raise ValueError(f"beta schedule returned {beta} < 0 at t={t}")
-        return alpha, beta
+    def linear_coefficients(self, mu: float, kernel: KernelSpec) -> tuple[float, float]:
+        """(alpha_t, beta_t) as they act on a population of mean mu."""
+        if self.salary_fraction is None:
+            return kernel.alpha, kernel.beta
+        return kernel.alpha, self.salary_fraction * mu
 
 
 def mean_evolution(mu: float, alpha: float, beta: float) -> float:
@@ -133,40 +104,6 @@ def mean_evolution(mu: float, alpha: float, beta: float) -> float:
     return alpha * mu + beta
 
 
-def _general_step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-                  master_seed: int) -> np.ndarray:
-    x = pop.wealth
-    mu = float(x.mean())
-    g = float(policy.growth_schedule(pop.t))
-    z = np.asarray(policy.redistribution(pop.t, x, mu), dtype=np.float64)
-    if z.shape != x.shape:
-        raise ValueError("redistribution must return one value per agent")
-    z = z - z.mean()  # recentring: empirical mean of the redistribution is 0
-    means = g * x + z
-    if np.any(means < 0.0):
-        i = int(np.argmin(means))
-        raise ValueError(
-            f"general-mode conditional mean is negative for agent {i}: "
-            f"{means[i]} (wealth stays nonnegative)"
-        )
-    if kernel.family == DETERMINISTIC:
-        return means
-    sd = kernel.gamma_disp * x
-    bad = (means == 0.0) & (sd > 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"agent {i} has conditional mean 0 but dispersion {sd[i]}; "
-            "nonnegative noise cannot realize that"
-        )
-    rel = np.divide(sd, means, out=np.zeros_like(sd), where=means > 0.0)
-    u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, x.size)
-    w = np.ones_like(x)
-    pos = rel > 0.0
-    w[pos] = unit_mean_noise(kernel.family, rel[pos], u[pos])
-    return means * w
-
-
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
          master_seed: int, _pool=None) -> PopulationState:
     """Advance the whole ensemble one time step.
@@ -174,11 +111,7 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     Agent i's draw depends only on (master_seed, pop.t, i).  A fifth
     argument, once a thread pool, is accepted and ignored.
     """
-    if policy.mode == GENERAL:
-        new = _general_step(pop, kernel, policy, master_seed)
-        return PopulationState(new, pop.t + 1)
-
-    alpha, beta = policy.linear_coefficients(pop.t, float(pop.wealth.mean()), kernel)
+    alpha, beta = policy.linear_coefficients(float(pop.wealth.mean()), kernel)
     k_t = replace(kernel, alpha=alpha, beta=beta)
     if kernel.family == DETERMINISTIC:
         new = alpha * pop.wealth + beta
@@ -237,19 +170,19 @@ def make_initial(n: int, kind: str, master_seed: int, **params) -> PopulationSta
 
 # --- configured runs ----------------------------------------------------
 
-def trajectory(config, master_seed: int | None = None, kappas=()):
+def trajectory(config, kappas=()):
     """Generator of (PopulationState, SnapshotMetrics) rows of a configured run.
 
     The initial state comes first, then one row per step; each state is
     measured once, with tail probabilities at ``kappas``.
     """
-    seed = config.master_seed if master_seed is None else master_seed
-    pop0 = config.build_initial(seed)
-    for pop in simulate(pop0, config.kernel, config.build_policy(), config.steps, seed):
+    states = simulate(config.build_initial(), config.kernel, config.build_policy(),
+                      config.steps, config.master_seed)
+    for pop in states:
         yield pop, metrics.snapshot(pop.wealth, pop.t, kappas)
 
 
-def run(config, master_seed: int | None = None):
+def run(config):
     """Generator of (PopulationState, SnapshotMetrics, [BoundRecord], (alpha_t, beta_t)).
 
     The rows of `trajectory` plus each row's bound records and the
@@ -264,8 +197,8 @@ def run(config, master_seed: int | None = None):
     # the report layer looks its kappa up in the snapshot, so force it in
     kappas = tuple(sorted(set(config.kappas) | {params.kappa}))
     prev_snap, prev_ab = None, (math.nan, math.nan)
-    for pop, snap in trajectory(config, master_seed, kappas):
-        now_ab = policy.linear_coefficients(pop.t, snap.mu, kernel)
+    for pop, snap in trajectory(config, kappas):
+        now_ab = policy.linear_coefficients(snap.mu, kernel)
         records = step_bound_report(prev_snap, snap, *prev_ab, *now_ab,
                                     kernel.gamma_disp, params)
         yield pop, snap, records, now_ab

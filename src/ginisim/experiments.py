@@ -21,12 +21,16 @@ import numpy as np
 
 from . import metrics, streams
 from .bounds import redistribution_variability_lower_bound
+from .config import ConfigError
 from .dynamics import run, trajectory
 from .kernels import high_probability_mass
 
 DIVERGING = "diverging"
 STABILIZED = "stabilized"
 INCONCLUSIVE = "inconclusive"
+
+# Largest change of the window-mean Gini that still counts as settled.
+GROW_TOL = 0.005
 
 
 class BracketError(RuntimeError):
@@ -41,7 +45,8 @@ class MonotonicityError(RuntimeError):
     """Probes contradict the assumed monotone stabilized-above-threshold order."""
 
 
-def _classify_gini(gini_series: np.ndarray, window: int, grow_tol: float) -> str:
+def classify_trajectory(gini_series, window: int) -> str:
+    """Late-time verdict from a Gini series, compared over its last two windows."""
     g = np.asarray(gini_series, dtype=np.float64)
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -52,60 +57,16 @@ def _classify_gini(gini_series: np.ndarray, window: int, grow_tol: float) -> str
     last = float(g[-window:].mean())
     prev = float(g[-2 * window:-window].mean())
     final = float(g[-1])
-    if last - prev > grow_tol and final > 0.8:
+    if last - prev > GROW_TOL and final > 0.8:
         return DIVERGING
-    if abs(last - prev) < grow_tol and final < 0.95:
+    if abs(last - prev) < GROW_TOL and final < 0.95:
         return STABILIZED
     return INCONCLUSIVE
 
 
-def classify_trajectory(traj, window: int, grow_tol: float = 0.005) -> str:
-    """Late-time verdict from the Gini series of a snapshot sequence."""
-    return _classify_gini(np.array([s.gini for s in traj]), window, grow_tol)
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    name: str
-    verdict: str
-    final: metrics.SnapshotMetrics
-    gini_min: float
-    gini_max: float
-    gini_final: float
-    cv_min: float
-    cv_max: float
-    cv_final: float
-
-
-def run_scenario(config, name: str, window: int | None = None,
-                 grow_tol: float = 0.005, master_seed: int | None = None):
-    """Full instrumented run plus classification.
-
-    Returns (ScenarioResult, snapshots); the bound records are not kept,
-    use dynamics.run directly when you need them.
-    """
-    snaps = [snap for _, snap, _, _ in run(config, master_seed=master_seed)]
-    w = window if window is not None else max(1, config.steps // 5)
-    verdict = classify_trajectory(snaps, w, grow_tol)
-    g = np.array([s.gini for s in snaps])
-    cv = np.array([s.cv for s in snaps])
-    result = ScenarioResult(
-        name=name,
-        verdict=verdict,
-        final=snaps[-1],
-        gini_min=float(g.min()),
-        gini_max=float(g.max()),
-        gini_final=float(g[-1]),
-        cv_min=float(cv.min()),
-        cv_max=float(cv.max()),
-        cv_final=float(cv[-1]),
-    )
-    return result, snaps
-
-
-def gini_cv_series(config, master_seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gini_cv_series(config) -> tuple[np.ndarray, np.ndarray]:
     """Cheap trajectory of (gini, cv) per step, skipping the bound layer."""
-    snaps = [snap for _, snap in trajectory(config, master_seed)]
+    snaps = [snap for _, snap in trajectory(config)]
     return np.array([s.gini for s in snaps]), np.array([s.cv for s in snaps])
 
 
@@ -301,59 +262,56 @@ class ThresholdSearchResult:
     plateau_cv: float
     reference_scale: float  # dispersion^2/(2 alpha) * (1 + 1/plateau_cv^2)
     ratio_to_scale: float
-    window: int
-    grow_tol: float
-    horizon: int
 
 
-def find_min_stabilizing_salary_fraction(
-    base_config,
-    c_lo: float,
-    c_hi: float,
-    tol: float,
-    horizon: int,
-    window: int | None = None,
-    grow_tol: float = 0.005,
-) -> ThresholdSearchResult:
+def find_min_stabilizing_salary_fraction(config) -> ThresholdSearchResult:
     """Minimal proportional-transfer coefficient that stabilizes the Gini.
 
-    Runs a full proportional-mode simulation per probe, each with the
-    base config's seed, classifies the Gini trajectory, and bisects.
-    The bracket is validated first: c_lo must classify diverging and
-    c_hi stabilized, else there is no sign change to search.
+    The bracket (c_lo, c_hi), the tolerance and the horizon come from
+    ``config.search``.  Runs a full proportional-mode simulation per
+    probe, each with the config's seed, classifies the Gini trajectory
+    over windows of horizon // 5 steps, and bisects.  The bracket is
+    validated first: c_lo must classify diverging and c_hi stabilized,
+    else there is no sign change to search.
     """
-    w = window if window is not None else max(1, horizon // 5)
+    spec = config.search
+    if spec is None:
+        raise ConfigError("search: section required for search-threshold")
+    if config.kernel.beta != 0.0:
+        raise ConfigError("kernel.beta: must be 0 for the proportional-mode search, "
+                          f"got {config.kernel.beta}")
+    w = max(1, spec.horizon // 5)
     probes: list[ProbeRecord] = []
     cv_series_at: dict[float, np.ndarray] = {}
 
     def probe(c: float) -> str:
-        cfg = dataclasses.replace(base_config, mode="proportional",
-                                  salary_fraction=float(c), steps=int(horizon))
+        cfg = dataclasses.replace(config, mode="proportional",
+                                  salary_fraction=float(c), steps=spec.horizon)
         gs, cvs = gini_cv_series(cfg)
         cv_series_at[float(c)] = cvs
-        verdict = _classify_gini(gs, w, grow_tol)
+        verdict = classify_trajectory(gs, w)
         probes.append(ProbeRecord(float(c), verdict, float(gs[-1]), float(cvs[-1])))
         return verdict
 
-    v_lo = probe(c_lo)
+    v_lo = probe(spec.c_lo)
     if v_lo != DIVERGING:
         raise BracketError(
-            f"no sign change: lower bracket c={c_lo:.6g} classified {v_lo!r}, "
+            f"no sign change: lower bracket c={spec.c_lo:.6g} classified {v_lo!r}, "
             "need 'diverging'"
         )
-    v_hi = probe(c_hi)
+    v_hi = probe(spec.c_hi)
     if v_hi != STABILIZED:
         raise BracketError(
-            f"no sign change: upper bracket c={c_hi:.6g} classified {v_hi!r}, "
+            f"no sign change: upper bracket c={spec.c_hi:.6g} classified {v_hi!r}, "
             "need 'stabilized'"
         )
 
-    c_star, _ = bisect_threshold(probe, c_lo, c_hi, tol)
+    c_star, _ = bisect_threshold(probe, spec.c_lo, spec.c_hi, spec.tol)
     _check_probe_monotonicity(probes)
 
     c_ref = min(p.c for p in probes if p.verdict == STABILIZED)
     plateau_cv = float(cv_series_at[c_ref][-w:].mean())
-    kernel = base_config.kernel
+    kernel = config.kernel
     scale = kernel.gamma_disp**2 / (2.0 * kernel.alpha) * (1.0 + 1.0 / plateau_cv**2)
     return ThresholdSearchResult(
         c_star=float(c_star),
@@ -361,7 +319,4 @@ def find_min_stabilizing_salary_fraction(
         plateau_cv=plateau_cv,
         reference_scale=scale,
         ratio_to_scale=float(c_star) / scale if scale > 0.0 else float("inf"),
-        window=w,
-        grow_tol=grow_tol,
-        horizon=int(horizon),
     )

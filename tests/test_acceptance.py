@@ -52,8 +52,8 @@ class ScenarioBundle:
     worst_violation_se_ratio: float
 
 
-def run_scenario_bundle(config_name: str,
-                        bootstrap_violations: bool = False) -> ScenarioBundle:
+def collect_scenario_bundle(config_name: str,
+                            bootstrap_violations: bool = False) -> ScenarioBundle:
     """Single pass over a shipped scenario collecting everything gated below.
 
     When ``bootstrap_violations`` is set, every step whose empirical CV^2
@@ -105,25 +105,23 @@ def run_scenario_bundle(config_name: str,
 
 @pytest.fixture(scope="session")
 def flagship():
-    return run_scenario_bundle("flagship.yaml", bootstrap_violations=True)
+    return collect_scenario_bundle("flagship.yaml", bootstrap_violations=True)
 
 
 @pytest.fixture(scope="session")
 def salaried():
-    return run_scenario_bundle("salaried.yaml")
+    return collect_scenario_bundle("salaried.yaml")
 
 
 @pytest.fixture(scope="session")
 def proportional():
-    return run_scenario_bundle("proportional.yaml")
+    return collect_scenario_bundle("proportional.yaml")
 
 
 @pytest.fixture(scope="session")
 def search_result():
     config = parse_config(str(CONFIGS / "threshold_search.yaml"))
-    spec = config.search
-    return find_min_stabilizing_salary_fraction(
-        config, spec.c_lo, spec.c_hi, spec.tol, spec.horizon)
+    return find_min_stabilizing_salary_fraction(config)
 
 
 @pytest.fixture(scope="session")
@@ -200,7 +198,8 @@ def test_04_constant_salary_eventually_fails(salaried):
 
 def test_05_proportional_salary_stabilizes(flagship, proportional):
     config_steps = len(proportional.snaps) - 1
-    verdict = classify_trajectory(proportional.snaps, window=config_steps // 5)
+    verdict = classify_trajectory([s.gini for s in proportional.snaps],
+                                  window=config_steps // 5)
     final = proportional.snaps[-1].gini
     reduction = flagship.snaps[-1].gini - final
     ok = (verdict == STABILIZED and reduction >= 0.2

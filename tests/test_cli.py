@@ -140,6 +140,18 @@ def test_gini_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad}:2: not a number: 'abc'" in err
 
+    for text in ("nan", "inf", "-1.5"):
+        bad = write(tmp_path / "bad.txt", f"1.0\n\n{text}\n")
+        assert cli.main(["gini", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: wealth must be finite and nonnegative: '{text}'" in err
+
+    for text in ("", "5\n", "0\n0\n0\n"):
+        short = write(tmp_path / "short.txt", text)
+        assert cli.main(["gini", "--input", str(short)]) == 2
+        err = capsys.readouterr().err
+        assert f"{short}: need at least 2 values with a positive total" in err
+
 
 def test_verify_bounds_deterministic(tmp_path, capsys):
     cfg = det_config(tmp_path)

@@ -117,6 +117,24 @@ def test_initial_parsing():
     pop = cfg.build_initial(7)
     assert pop.wealth.size == 100 and (pop.wealth > 0.0).all()
 
+    for initial, match in [
+        ({"kind": "lognormal", "value": 2.0, "cv": 1}, r"^population\.initial: unknown key 'value'"),
+        ({"kind": "point", "cv": 1}, r"^population\.initial: unknown key 'cv'"),
+        ({"kind": "uniform", "low": 3, "high": 1},
+         r"^population\.initial\.high: must be greater than low"),
+        ({"kind": "uniform", "low": -1, "high": 1},
+         r"^population\.initial\.low: must be nonnegative"),
+        ({"kind": "point", "value": -1}, r"^population\.initial\.value: must be nonnegative"),
+        ({"kind": "point", "value": "inf"}, r"^population\.initial\.value: must be finite"),
+        ({"kind": "lognormal", "mean": -1, "cv": 1},
+         r"^population\.initial\.mean: must be positive"),
+        ({"kind": "lognormal", "cv": 0}, r"^population\.initial\.cv: must be positive"),
+        ({"kind": ["point"]}, r"^population\.initial\.kind: unknown initial condition"),
+    ]:
+        data["population"]["initial"] = initial
+        with pytest.raises(ConfigError, match=match):
+            load_config(data)
+
 
 def test_policy_parsing():
     cfg = load_config(base(policy={"mode": "proportional", "salary_fraction": 0.1}))
@@ -131,6 +149,16 @@ def test_policy_parsing():
         load_config(base(policy={"mode": "linear", "salary_fraction": 0.1}))
     with pytest.raises(ConfigError, match="must be >= 0"):
         load_config(base(policy={"mode": "proportional", "salary_fraction": -0.1}))
+
+
+def test_proportional_mode_needs_zero_kernel_beta():
+    data = base(policy={"mode": "proportional", "salary_fraction": 0.1})
+    data["kernel"]["beta"] = 1.0
+    with pytest.raises(ConfigError, match=r"^kernel\.beta: must be 0 in proportional mode"):
+        load_config(data)
+    data["policy"]["mode"] = "linear"
+    del data["policy"]["salary_fraction"]
+    assert load_config(data).kernel.beta == 1.0
 
 
 def test_bounds_parsing():
@@ -182,9 +210,17 @@ def test_search_parsing():
     with pytest.raises(ConfigError, match="expected an integer"):
         load_config(base(search={"c_lo": 0.002, "c_hi": 0.05, "tol": 0.01,
                                  "horizon": 80.5}))
-    with pytest.raises(ConfigError, match=r"^search\.tol: must be positive"):
-        load_config(base(search={"c_lo": 0.002, "c_hi": 0.05, "tol": 0,
-                                 "horizon": 100}))
+    for search, match in [
+        ({"tol": 0}, r"^search\.tol: must be positive"),
+        ({"c_lo": 0.05, "c_hi": 0.002}, r"^search\.c_hi: must be finite and greater than c_lo"),
+        ({"c_hi": 0.002}, r"^search\.c_hi: must be finite and greater than c_lo"),
+        ({"c_hi": "inf"}, r"^search\.c_hi: must be finite"),
+        ({"c_lo": -0.01}, r"^search\.c_lo: must be >= 0"),
+        ({"horizon": 0}, r"^search\.horizon: must be at least 1"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            load_config(base(search={"c_lo": 0.002, "c_hi": 0.05, "tol": 0.01,
+                                     "horizon": 100, **search}))
 
 
 def test_with_overrides():

@@ -1,12 +1,13 @@
 """Trajectory classification and the stabilizing-fraction search."""
 
+import dataclasses
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ginisim.config import InitialSpec, RunConfig, parse_config
+from ginisim.config import ConfigError, RunConfig, SearchSpec, parse_config
+from ginisim.dynamics import run
 from ginisim.experiments import (
     DIVERGING,
     INCONCLUSIVE,
@@ -20,39 +21,34 @@ from ginisim.experiments import (
     classify_trajectory,
     find_min_stabilizing_salary_fraction,
     gini_cv_series,
-    run_scenario,
 )
 from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
 
 
-def _traj(values):
-    return [SimpleNamespace(gini=g) for g in values]
-
-
 def test_classify_verdicts():
     flat_low = np.full(100, 0.5)
-    assert classify_trajectory(_traj(flat_low), window=25) == STABILIZED
+    assert classify_trajectory(flat_low, window=25) == STABILIZED
 
     rising_high = np.linspace(0.2, 0.97, 200)
-    assert classify_trajectory(_traj(rising_high), window=50) == DIVERGING
+    assert classify_trajectory(rising_high, window=50) == DIVERGING
 
     plateau = np.concatenate([np.linspace(0.2, 0.85, 100), np.full(100, 0.85)])
-    assert classify_trajectory(_traj(plateau), window=40) == STABILIZED
+    assert classify_trajectory(plateau, window=40) == STABILIZED
 
     # settled but already concentrated: neither verdict applies
     flat_high = np.full(100, 0.99)
-    assert classify_trajectory(_traj(flat_high), window=25) == INCONCLUSIVE
+    assert classify_trajectory(flat_high, window=25) == INCONCLUSIVE
 
     # rising but still dilute at the end
     rising_low = np.linspace(0.1, 0.5, 100)
-    assert classify_trajectory(_traj(rising_low), window=25) == INCONCLUSIVE
+    assert classify_trajectory(rising_low, window=25) == INCONCLUSIVE
 
 
 def test_classify_validation():
     with pytest.raises(ValueError, match="too short for two windows"):
-        classify_trajectory(_traj(np.full(10, 0.5)), window=6)
+        classify_trajectory(np.full(10, 0.5), window=6)
     with pytest.raises(ValueError, match="window must be at least 1"):
-        classify_trajectory(_traj(np.full(10, 0.5)), window=0)
+        classify_trajectory(np.full(10, 0.5), window=0)
 
 
 def test_bisect_threshold_step_function():
@@ -98,19 +94,8 @@ NOISY = RunConfig(
 )
 
 
-def test_run_scenario_smoke():
-    result, snaps = run_scenario(NOISY, "smoke")
-    assert result.name == "smoke"
-    assert len(snaps) == NOISY.steps + 1
-    assert result.final is snaps[-1]
-    assert result.gini_final == snaps[-1].gini
-    assert result.gini_min <= result.gini_final <= result.gini_max
-    assert result.cv_min <= result.cv_final <= result.cv_max
-    assert result.verdict in (DIVERGING, STABILIZED, INCONCLUSIVE)
-
-
 def test_gini_cv_series_matches_instrumented_run():
-    _, snaps = run_scenario(NOISY, "cross-check")
+    snaps = [snap for _, snap, _, _ in run(NOISY)]
     gs, cvs = gini_cv_series(NOISY)
     assert gs.shape == cvs.shape == (NOISY.steps + 1,)
     assert gs[0] == 0.0  # point initial condition
@@ -126,16 +111,27 @@ def test_search_rejects_stabilized_lower_bracket():
         n_agents=50,
         steps=40,
         master_seed=1,
+        search=SearchSpec(c_lo=0.001, c_hi=0.1, tol=0.05, horizon=40),
     )
     with pytest.raises(BracketError, match="lower bracket.*need 'diverging'"):
-        find_min_stabilizing_salary_fraction(quiet, 0.001, 0.1, tol=0.05,
-                                             horizon=40)
+        find_min_stabilizing_salary_fraction(quiet)
 
 
 def test_search_rejects_diverging_upper_bracket():
+    noisy = dataclasses.replace(
+        NOISY, search=SearchSpec(c_lo=1e-6, c_hi=2e-6, tol=1e-6, horizon=80))
     with pytest.raises(BracketError, match="upper bracket.*need 'stabilized'"):
-        find_min_stabilizing_salary_fraction(NOISY, 1e-6, 2e-6, tol=1e-6,
-                                             horizon=80)
+        find_min_stabilizing_salary_fraction(noisy)
+
+
+def test_search_needs_a_search_section_and_zero_kernel_beta():
+    with pytest.raises(ConfigError, match="^search: section required"):
+        find_min_stabilizing_salary_fraction(NOISY)
+    salaried = dataclasses.replace(
+        NOISY, kernel=dataclasses.replace(NOISY.kernel, beta=0.5),
+        search=SearchSpec(c_lo=0.001, c_hi=0.1, tol=0.05, horizon=40))
+    with pytest.raises(ConfigError, match="^kernel.beta: must be 0"):
+        find_min_stabilizing_salary_fraction(salaried)
 
 
 def test_search_on_shipped_config():
@@ -143,8 +139,7 @@ def test_search_on_shipped_config():
         str(Path(__file__).resolve().parent.parent / "configs"
             / "threshold_search.yaml"))
     spec = cfg.search
-    result = find_min_stabilizing_salary_fraction(
-        cfg, spec.c_lo, spec.c_hi, spec.tol, spec.horizon)
+    result = find_min_stabilizing_salary_fraction(cfg)
     assert spec.c_lo < result.c_star < spec.c_hi
     assert result.probes[0].c == spec.c_lo
     assert result.probes[0].verdict == DIVERGING
@@ -153,4 +148,3 @@ def test_search_on_shipped_config():
     assert result.plateau_cv > 0.0
     assert result.ratio_to_scale == pytest.approx(
         result.c_star / result.reference_scale)
-    assert result.horizon == spec.horizon
