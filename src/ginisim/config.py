@@ -166,6 +166,9 @@ def _parse_kernel(node, path: str) -> KernelSpec:
     for key in ("alpha", "beta", "gamma_disp", "delta_logx", "delta_logxp"):
         if key in node:
             kwargs[key] = _to_float(node[key], f"{path}.{key}")
+    for key in ("alpha", "beta", "gamma_disp"):  # the bounds may be inf (no claim)
+        if key in kwargs and not abs(kwargs[key]) < math.inf:
+            _fail(f"{path}.{key}", "must be finite")
     if not isinstance(kwargs["family"], str):
         _fail(f"{path}.family", "expected a string")
     try:

@@ -41,20 +41,28 @@ from .kernels import (
 
 
 class PopulationState:
-    """Immutable wealth vector plus its time index."""
+    """Immutable wealth vector plus its time index.
+
+    A read-only float64 array that owns its buffer is taken as it is:
+    `step` hands over the array it has just built.  Any other input is
+    copied, so a state never aliases a writable buffer.
+    """
 
     __slots__ = ("wealth", "t")
 
     def __init__(self, wealth, t: int):
-        w = np.array(wealth, dtype=np.float64)
+        w = np.asarray(wealth, dtype=np.float64)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("population needs at least 2 agents")
-        if not np.all(np.isfinite(w)):
+        lo, hi = w.min(), w.max()
+        if not (-np.inf < lo and hi < np.inf):  # nan fails both
             raise ValueError("population contains non-finite wealth")
-        if np.any(w < 0):
+        if lo < 0:
             raise ValueError("population contains negative wealth")
         if t < 0:
             raise ValueError("time index must be nonnegative")
+        if w.flags.writeable or not w.flags.owndata:
+            w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "wealth", w)
         object.__setattr__(self, "t", int(t))
@@ -111,13 +119,16 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     Agent i's draw depends only on (master_seed, pop.t, i).  A fifth
     argument, once a thread pool, is accepted and ignored.
     """
-    alpha, beta = policy.linear_coefficients(float(pop.wealth.mean()), kernel)
-    k_t = replace(kernel, alpha=alpha, beta=beta)
+    k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
+    if policy.salary_fraction is not None:
+        alpha, beta = policy.linear_coefficients(float(pop.wealth.mean()), kernel)
+        k_t = replace(kernel, alpha=alpha, beta=beta)
     if kernel.family == DETERMINISTIC:
-        new = alpha * pop.wealth + beta
+        new = k_t.alpha * pop.wealth + k_t.beta
     else:
         u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, pop.n)
         new = transition_from_uniforms(k_t, pop.wealth, u)
+    new.flags.writeable = False  # fresh: the next state takes it without a copy
     return PopulationState(new, pop.t + 1)
 
 

@@ -111,30 +111,47 @@ def unit_mean_noise(family: str, rel_sd, u: np.ndarray) -> np.ndarray:
 
     Multiplying a target mean by W realises a draw with that mean and the
     matching relative dispersion.  This is the single sampling primitive
-    behind both the linear kernels (factor L = alpha * W with
-    rel_sd = gamma_disp/alpha) and the general growth mode in `dynamics`.
+    behind the linear kernels (factor L = alpha * W with
+    rel_sd = gamma_disp/alpha) and the lognormal initial condition.
+    The inverse CDF's fresh output is transformed in place; ``u`` is
+    never written.
     """
     rel_sd = np.asarray(rel_sd, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if family == LOGNORMAL:
         s2 = np.log1p(rel_sd**2)
         s = np.sqrt(s2)
-        return np.exp(-0.5 * s2 + s * sp.ndtri(u))
+        z = sp.ndtri(u)
+        z *= s
+        z += -0.5 * s2
+        return np.exp(z, out=z) if np.ndim(z) else np.exp(z)
     if family == GAMMA:
         r2 = rel_sd**2
-        return sp.gammaincinv(1.0 / r2, u) * r2
+        w = sp.gammaincinv(1.0 / r2, u)
+        w *= r2
+        return w
     raise NoDensityError(f"no noise law for family {family!r}")
 
 
 def transition_from_uniforms(kernel: KernelSpec, x, u) -> np.ndarray:
-    """Elementwise x' = x*L + beta with L built from the uniforms u."""
+    """Elementwise x' = x*L + beta with L built from the uniforms u.
+
+    The noise array is fresh, so it is scaled and shifted in place;
+    ``x`` and ``u`` are never written.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("wealth must be nonnegative")
     if kernel.family == DETERMINISTIC:
         return conditional_mean(kernel, x) + 0.0 * np.asarray(u)
     w = unit_mean_noise(kernel.family, kernel.gamma_disp / kernel.alpha, u)
-    return x * (kernel.alpha * w) + kernel.beta
+    w *= kernel.alpha
+    if x.ndim == 0 or np.shape(w) == x.shape:
+        w *= x
+    else:  # x broadcasts the noise up: no buffer of the result's shape yet
+        w = w * x
+    w += kernel.beta
+    return w
 
 
 def log_density(kernel: KernelSpec, x: float, xp) -> np.ndarray:

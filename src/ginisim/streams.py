@@ -2,10 +2,14 @@
 
 Every random number consumed anywhere in the simulator is a pure function
 of ``(master_seed, purpose_tag, step_index, block_index)``.  Agents are
-grouped into fixed-size blocks and each block gets its own keyed Philox
-bit generator, so any partition of a population update into blocks gives
-bit-identical output.  The blocks are filled serially: scheduling them on
-a thread pool cost more than the Philox fill it spread.
+grouped into fixed-size blocks and each block gets its own Philox key,
+so any partition of a population update into blocks gives bit-identical
+output.  `indexed_uniforms` builds one Philox per call and re-keys it
+for each later block (counter 0, empty buffer), which yields exactly the
+words of a fresh generator under that block's key: the keys and the
+contract are those of one generator per block, at a fraction of the
+construction cost.  The blocks are filled serially: scheduling them on a
+thread pool cost more than the Philox fill it spread.
 
 The uniform variates produced here are strictly inside (0, 1), which lets
 callers push them through inverse CDFs without guarding against log(0).
@@ -38,28 +42,40 @@ TAG_TRIALS = 5       # extremal minimality: sequence i for trial i
 _TAG_BITS = 56
 _STEP_BITS = 24
 
+_ZEROS4 = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at rest
+_ZEROS4.flags.writeable = False
 
-def _bit_generator(master_seed: int, tag: int, step: int, block: int) -> np.random.Philox:
+
+def _key(master_seed: int, tag: int, step: int, block: int) -> np.ndarray:
+    """The Philox key of one block of one (seed, tag, step) stream."""
     if block < 0 or block >= (1 << _STEP_BITS):
         raise ValueError(f"block index {block} outside keyable range")
     if step < 0:
         raise ValueError(f"step index {step} must be nonnegative")
     lane = (tag << _TAG_BITS) | ((step & 0xFFFFFFFF) << _STEP_BITS) | block
-    key = np.array([master_seed & _MASK64, lane & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
+    return np.array([master_seed & _MASK64, lane & _MASK64], dtype=np.uint64)
 
 
 def uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Map raw uint64 words to uniforms in place; returns the float64 view.
+
+    ``raw`` is consumed: its buffer holds the result.
+    """
     # 52-bit lattice shifted by half a cell: every value (k + 0.5) * 2^-52
     # is exactly representable, so the result lies in [2^-53, 1 - 2^-53]
     # and never touches 0 or 1.  (The 53-bit variant rounds its top cell
     # up to exactly 1.0, which would poison inverse-CDF sampling.)
-    return ((raw >> np.uint64(12)) + 0.5) * 2.0**-52
+    raw >>= np.uint64(12)
+    u = raw.view(np.float64)
+    u[...] = raw  # element-wise cast over the same buffer; no temporary
+    u += 0.5
+    u *= 2.0**-52
+    return u
 
 
 def block_uniforms(master_seed: int, tag: int, step: int, block: int, n: int) -> np.ndarray:
     """Uniform(0,1) draws for one block, independent of all other blocks."""
-    bg = _bit_generator(master_seed, tag, step, block)
+    bg = np.random.Philox(key=_key(master_seed, tag, step, block))
     return uniforms_from_raw(bg.random_raw(n))
 
 
@@ -69,9 +85,15 @@ def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarra
     ``step`` is the time step for simulation draws and the sequence index
     for diagnostics, which may consume several independent batches.
     """
-    out = np.empty(n, dtype=np.float64)
+    raw = np.empty(n, dtype=np.uint64)
+    bg = None
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        out[lo:hi] = block_uniforms(master_seed, tag, step, lo // BLOCK, hi - lo)
-    return out
-
+        key = _key(master_seed, tag, step, lo // BLOCK)
+        if bg is None:
+            bg = np.random.Philox(key=key)
+        else:  # the state of a fresh np.random.Philox(key=key)
+            bg.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+                        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        raw[lo:hi] = bg.random_raw(hi - lo)
+    return uniforms_from_raw(raw)

@@ -246,3 +246,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # argparse usage failures also map to exit 2
     assert cli.main(["simulate"]) == 2
     capsys.readouterr()
+    # an infinite kernel coefficient is a config error, not a failed run
+    inf_alpha = Path(noisy_config(tmp_path)).read_text().replace("alpha: 1.02", "alpha: .inf")
+    path = write(tmp_path / "inf_alpha.yaml", inf_alpha)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert "config error: kernel.alpha: must be finite" in capsys.readouterr().err

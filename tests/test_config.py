@@ -82,10 +82,19 @@ def test_kernel_errors():
     with pytest.raises(ConfigError, match="kernel.family: expected a string"):
         load_config(data)
 
+    for key in ("alpha", "beta", "gamma_disp"):
+        for value in (".inf", "inf", math.inf, "-inf", "nan"):
+            data = base()
+            data["kernel"][key] = value
+            with pytest.raises(ConfigError, match=rf"^kernel\.{key}: must be finite$"):
+                load_config(data)
+
     data = base()
     for spelling in ("inf", "Infinity", ".inf"):
         data["kernel"]["delta_logx"] = spelling
         assert load_config(data).kernel.delta_logx == math.inf
+        data["kernel"]["delta_logxp"] = spelling
+        assert load_config(data).kernel.delta_logxp == math.inf
 
 
 def test_population_errors():

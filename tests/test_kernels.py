@@ -232,3 +232,34 @@ def test_transition_from_uniforms_is_deterministic_in_u():
     )
     with pytest.raises(ValueError, match="nonnegative"):
         transition_from_uniforms(LOGN, np.array([-1.0]), np.array([0.5]))
+
+
+def test_noise_and_transition_leave_their_inputs_unchanged():
+    # the noise and the transition are computed in place on fresh buffers;
+    # the caller's uniforms and wealth must come back byte for byte
+    u = indexed_uniforms(3, TAG_PROBE, 0, 2000)
+    x = np.linspace(0.0, 50.0, 2000)
+    u0, x0 = u.tobytes(), x.tobytes()
+    for kernel in (LOGN, GAMM, KernelSpec(family=LOGNORMAL, alpha=1.3, beta=0.7, gamma_disp=0.5)):
+        unit_mean_noise(kernel.family, 0.3, u)
+        transition_from_uniforms(kernel, x, u)
+        transition_from_uniforms(kernel, 4.0, u)
+        transition_from_uniforms(kernel, x[:1], u[:1])
+        high_probability_mass(kernel, 4.0, 1.0, u)
+        assert u.tobytes() == u0 and x.tobytes() == x0, kernel.family
+
+
+def test_in_place_transition_matches_the_allocating_form():
+    u = indexed_uniforms(5, TAG_PROBE, 1, 1000)
+    x = np.linspace(0.5, 20.0, 1000)
+    for kernel in (LOGN, GAMM, KernelSpec(family=GAMMA, alpha=1.3, beta=0.7, gamma_disp=0.5)):
+        r = kernel.gamma_disp / kernel.alpha
+        w = unit_mean_noise(kernel.family, r, u)
+        expected = x * (kernel.alpha * w) + kernel.beta
+        assert transition_from_uniforms(kernel, x, u).tobytes() == expected.tobytes()
+        # a scalar uniform broadcast against the wealth vector
+        one = transition_from_uniforms(kernel, x, u[7])
+        np.testing.assert_array_equal(one, x * (kernel.alpha * w[7]) + kernel.beta)
+    s2 = np.log1p(np.float64(0.3) ** 2)
+    w = unit_mean_noise(LOGNORMAL, 0.3, u)
+    assert w.tobytes() == np.exp(-0.5 * s2 + np.sqrt(s2) * sp.ndtri(u)).tobytes()

@@ -1,5 +1,7 @@
 """Keyed-stream reproducibility: the whole package rests on these."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ginisim.streams import (
     BLOCK,
     TAG_INIT,
     TAG_STEP,
+    TAG_TRIALS,
     block_uniforms,
     indexed_uniforms,
     uniforms_from_raw,
@@ -38,6 +41,11 @@ def test_uniforms_from_raw_endpoints():
     assert u[0] == 2.0**-53
     assert u[1] == 1.0 - 2.0**-53
     assert 0.0 < u[0] and u[1] < 1.0
+    # the in-place conversion equals the allocating formula word for word
+    words = np.random.default_rng(3).integers(0, 2**64, size=5000, dtype=np.uint64,
+                                             endpoint=False)
+    expected = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
+    assert uniforms_from_raw(words.copy()).tobytes() == expected.tobytes()
 
 
 def test_indexed_equals_per_block_concatenation():
@@ -61,3 +69,40 @@ def test_block_index_range_checked():
         block_uniforms(0, TAG_STEP, 0, 1 << 24, 8)
     with pytest.raises(ValueError, match="nonnegative"):
         block_uniforms(0, TAG_STEP, -1, 0, 8)
+
+
+# sha256 of indexed_uniforms(seed, tag, step, n).tobytes(), recorded from
+# the one-generator-per-block implementation; any change to the keys, the
+# block layout or the lattice shows up here.
+GOLDEN_UNIFORMS = {
+    (42, TAG_STEP, 7): [
+        "3b5cab3ef1f84d8587423eb78049a91efde397b797d4123f5de7772ed9f2bae9",
+        "0d4e896d72b2973d1533544f7aca6f0d7e2bf6cf36a0726b3f4025bb44f1da0d",
+        "efb74803e0528edee946d51a6ebcac2c1deb085281e4ae5a78159257a18b72a0",
+        "4b1ef374cf95136d8f5876c3d02a5b6e4825bdcd7dbdacf83dcf4a48f2f1cf0d",
+        "f0f6b95197470a3268cce2a4fab27490c85b3adf008637e759d5352ed31557a0",
+    ],
+    (2**64 - 1, TAG_TRIALS, 12345): [
+        "fd6b1cae4e6d018e4ed8d06bfba1606151c34d0a99325fd84e2248893816183f",
+        "22022d090ba44bdd9934d6b6b6e8586ff2969ebd4ee07daf5d3848ef88508212",
+        "fde030da026814beab977714edf0229d6ad21d93805c7acb97fceb0250bda0a6",
+        "9c8c5db4f0db7e51831b6870bdb928f2f5c7bef6c614d72bd945104e69cbf900",
+        "f6e8b45d21d5541206d6e28051e062863ff49344cb969f9a4cd0a33809ae4b57",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_UNIFORMS))
+def test_indexed_uniforms_golden_bytes(key):
+    sizes = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17)
+    got = [hashlib.sha256(indexed_uniforms(*key, n).tobytes()).hexdigest() for n in sizes]
+    assert got == GOLDEN_UNIFORMS[key]
+
+
+def test_rekeyed_generator_matches_fresh_blocks():
+    # every block of a long draw equals a freshly keyed generator's block
+    n = 5 * BLOCK + 3
+    whole = indexed_uniforms(11, TAG_STEP, 2, n)
+    for b, lo in enumerate(range(0, n, BLOCK)):
+        hi = min(lo + BLOCK, n)
+        np.testing.assert_array_equal(whole[lo:hi], block_uniforms(11, TAG_STEP, 2, b, hi - lo))
