@@ -48,16 +48,14 @@ class BoundParams:
     kappa: tail threshold, in (0, 1/2) so the saturation chain has a
         positive prefactor 1 - 2*kappa.
     delta_stripe: half-width of the near-diagonal stripe |x - y| < delta*x.
-    epsilon: the stripe half-width times the claimed log-derivative bound;
-        must lie in (0, 1) for the pair-integral lower bound to be useful.
-    gamma_inv_logderiv: reciprocal of the larger claimed log-derivative
-        bound of the kernel.  Distinct from the kernel's gamma_disp; the
-        two may be identified by configuration, never silently.
+    gamma_inv_logderiv: the kernel's inverse log-derivative constant Gamma,
+        positive and finite.  verify-integrals calibrates it; the per-step
+        records take it from the configuration.  The stripe slack is not a
+        parameter: epsilon = delta/Gamma is derived where it is used.
     """
 
     kappa: float = 0.25
     delta_stripe: float = 0.05
-    epsilon: float | None = None
     gamma_inv_logderiv: float = 1.0
 
     def __post_init__(self) -> None:
@@ -65,17 +63,9 @@ class BoundParams:
             raise ValueError(f"kappa must be in (0, 1/2), got {self.kappa}")
         if not 0.0 < self.delta_stripe < 1.0:
             raise ValueError(f"delta_stripe must be in (0, 1), got {self.delta_stripe}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not self.gamma_inv_logderiv > 0.0:
-            raise ValueError("gamma_inv_logderiv must be positive")
-
-    def consistent_epsilon(self, delta_logx: float, delta_logxp: float) -> float:
-        """epsilon = delta_stripe * max of the claimed log-derivative bounds."""
-        big = max(delta_logx, delta_logxp)
-        if math.isinf(big):
-            raise ValueError("cannot derive epsilon: no finite log-derivative bound claimed")
-        return self.delta_stripe * big
+        if not 0.0 < self.gamma_inv_logderiv < math.inf:
+            raise ValueError("gamma_inv_logderiv must be positive and finite, "
+                             f"got {self.gamma_inv_logderiv}")
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ class ConfigError(ValueError):
     """Configuration file invalid; message includes the field path."""
 
 
-_KERNEL_KEYS = {"family", "alpha", "beta", "gamma_disp", "delta_logx", "delta_logxp"}
+_KERNEL_KEYS = {"family", "alpha", "beta", "gamma_disp"}
 _POLICY_KEYS = {"mode", "salary_fraction"}
 _POPULATION_KEYS = {"n_agents", "steps", "initial"}
 # the keys each initial kind takes besides "kind", and whether each is required
 _INITIAL_KEYS = {"point": {"value": False}, "uniform": {"low": True, "high": True},
                  "lognormal": {"mean": False, "cv": True}}
-_BOUNDS_KEYS = {"kappa_grid", "kappa", "delta_stripe", "epsilon", "gamma_logderiv"}
+_BOUNDS_KEYS = {"kappa_grid", "kappa", "delta_stripe", "gamma_logderiv"}
 _OUTPUT_KEYS = {"trajectory", "final_population"}
 _INTEGRALS_KEYS = {"snapshot_step", "n_pairs", "n_trials", "a_values",
                    "delta_values", "x_diagonal"}
@@ -62,7 +62,6 @@ class RunConfig:
     kappas: tuple[float, ...] = (0.1, 0.25)
     kappa: float = 0.25
     delta_stripe: float = 0.05
-    epsilon: float | None = None
     gamma_logderiv: float | str = "dispersion"
     trajectory_out: str | None = None
     final_population_out: str | None = None
@@ -88,7 +87,6 @@ class RunConfig:
         return BoundParams(
             kappa=self.kappa,
             delta_stripe=self.delta_stripe,
-            epsilon=self.epsilon,
             gamma_inv_logderiv=self.gamma_inv_logderiv(),
         )
 
@@ -107,7 +105,7 @@ class RunConfig:
     def with_overrides(self, seed: int | None = None, out: str | None = None) -> "RunConfig":
         cfg = self
         if seed is not None:
-            cfg = replace(cfg, master_seed=int(seed))
+            cfg = replace(cfg, master_seed=_to_seed(seed, "--seed"))
         if out is not None:
             cfg = replace(cfg, trajectory_out=out)
         return cfg
@@ -150,6 +148,13 @@ def _to_int(value, path: str) -> int:
     return int(value)
 
 
+def _to_seed(value, path: str) -> int:
+    seed = _to_int(value, path)
+    if not 0 <= seed < 1 << 64:  # the streams key on 64 bits: no aliasing
+        _fail(path, f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _to_float_tuple(value, path: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         _fail(path, "expected a non-empty list of numbers")
@@ -163,12 +168,11 @@ def _parse_kernel(node, path: str) -> KernelSpec:
         if key not in node:
             _fail(path, f"missing required key {key!r}")
     kwargs = {"family": node["family"]}
-    for key in ("alpha", "beta", "gamma_disp", "delta_logx", "delta_logxp"):
+    for key in ("alpha", "beta", "gamma_disp"):
         if key in node:
             kwargs[key] = _to_float(node[key], f"{path}.{key}")
-    for key in ("alpha", "beta", "gamma_disp"):  # the bounds may be inf (no claim)
-        if key in kwargs and not abs(kwargs[key]) < math.inf:
-            _fail(f"{path}.{key}", "must be finite")
+            if not abs(kwargs[key]) < math.inf:
+                _fail(f"{path}.{key}", "must be finite")
     if not isinstance(kwargs["family"], str):
         _fail(f"{path}.family", "expected a string")
     try:
@@ -253,7 +257,7 @@ def load_config(data: dict) -> RunConfig:
     kwargs: dict = dict(kernel=kernel, n_agents=n_agents, steps=steps, initial=initial)
 
     if "master_seed" in data:
-        kwargs["master_seed"] = _to_int(data["master_seed"], "master_seed")
+        kwargs["master_seed"] = _to_seed(data["master_seed"], "master_seed")
 
     if "policy" in data:
         pol = _require_mapping(data["policy"], "policy")
@@ -290,14 +294,12 @@ def load_config(data: dict) -> RunConfig:
             kwargs["kappa"] = _to_float(bnd["kappa"], "bounds.kappa")
         if "delta_stripe" in bnd:
             kwargs["delta_stripe"] = _to_float(bnd["delta_stripe"], "bounds.delta_stripe")
-        if "epsilon" in bnd and bnd["epsilon"] is not None:
-            kwargs["epsilon"] = _to_float(bnd["epsilon"], "bounds.epsilon")
         if "gamma_logderiv" in bnd:
             g = bnd["gamma_logderiv"]
             if g != "dispersion":
                 g = _to_float(g, "bounds.gamma_logderiv")
-                if not g > 0.0:
-                    _fail("bounds.gamma_logderiv", "must be positive or 'dispersion'")
+                if not 0.0 < g < math.inf:  # an infinite Gamma passes every gate
+                    _fail("bounds.gamma_logderiv", "must be positive and finite, or 'dispersion'")
             kwargs["gamma_logderiv"] = g
 
     if "output" in data:
@@ -338,7 +340,7 @@ def load_config(data: dict) -> RunConfig:
 
     try:
         cfg = RunConfig(**kwargs)
-        cfg.bound_params()  # validates kappa, delta_stripe, epsilon, gamma
+        cfg.bound_params()  # validates kappa, delta_stripe, gamma
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -89,7 +89,7 @@ def verify_bounds(config) -> tuple[list[tuple[str, dict]], list[str]]:
     # at beta = 0 and nearly so in the regimes we run.  Without a density
     # the hypotheses hold nowhere: leak 1 concedes the whole grow term.
     leak = 1.0
-    if kernel.has_density and gamma_inv > 0.0:
+    if kernel.has_density:
         u = streams.indexed_uniforms(0, streams.TAG_PROBE, 0, 4000)
         mass = high_probability_mass(kernel, 1.0, 1.0 / gamma_inv, u, which="output")
         leak = mass.mass_beyond + mass.excluded

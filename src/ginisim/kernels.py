@@ -49,20 +49,16 @@ class OutsideSupportError(ValueError):
 class KernelSpec:
     """Parameters of a transition kernel.
 
-    ``delta_logx`` and ``delta_logxp`` are claimed uniform bounds on the
-    magnitude of the log-density's derivative with respect to log input
-    wealth and log output wealth.  They default to infinity (no claim)
-    and are consumed by the verification layer, never by sampling.
     ``gamma_disp`` is the relative dispersion: the conditional sd of x'
-    given x is gamma_disp*x.
+    given x is gamma_disp*x.  The log-derivative bounds are not parameters:
+    verify-integrals calibrates them from the density, and the inverse
+    constant Gamma it measures fixes the stripe slack epsilon = delta/Gamma.
     """
 
     family: str
     alpha: float
     beta: float = 0.0
     gamma_disp: float = 0.0
-    delta_logx: float = math.inf
-    delta_logxp: float = math.inf
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -77,8 +73,6 @@ class KernelSpec:
             raise ValueError("deterministic kernel requires gamma_disp = 0")
         if self.family != DETERMINISTIC and not self.gamma_disp > 0.0:
             raise ValueError(f"{self.family} kernel requires gamma_disp > 0")
-        if not self.delta_logx > 0.0 or not self.delta_logxp > 0.0:
-            raise ValueError("log-derivative bounds must be positive")
 
     @property
     def has_density(self) -> bool:

@@ -214,7 +214,7 @@ class CalibrationResult:
 
 def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
                                    master_seed: int = 0) -> CalibrationResult:
-    """Measure the claimed log-derivative bounds as sample quantiles.
+    """Measure the kernel's log-derivative bounds as sample quantiles.
 
     Draws transitions, probes |d log f / d log (x or x')| at each, and
     returns the 0.99 quantile of each probe's magnitude, so that the
@@ -526,23 +526,15 @@ def ensemble_gap_bound_check(
 ) -> GapBoundReport:
     """Check E[F(x,y)] >= delta*kappa*mu*Gamma*(1-eps)*P^2 on a snapshot.
 
-    Pairs are sampled with replacement from the ensemble; pairs with a
-    zero-wealth member or a failed quadrature are excluded and counted.
+    Gamma is the calibrated ``params.gamma_inv_logderiv`` and the stripe
+    slack is derived from it, eps = min(delta/Gamma, 0.999).  Pairs are
+    sampled with replacement from the ensemble; pairs with a zero-wealth
+    member or a failed quadrature are excluded and counted.  Raises
+    NoDensityError for a kernel without a transition density.
     """
-    if params.epsilon is not None:
-        eps = params.epsilon
-    else:
-        try:
-            eps = params.consistent_epsilon(kernel.delta_logx, kernel.delta_logxp)
-        except ValueError as exc:
-            return GapBoundReport(False, 0, 0, math.nan, math.nan, math.nan,
-                                  math.nan, math.nan, math.nan, math.nan,
-                                  message=str(exc))
     if not kernel.has_density:
-        return GapBoundReport(False, 0, 0, math.nan, math.nan, math.nan, math.nan,
-                              math.nan, math.nan, eps, message="hypotheses not met: "
-                              "deterministic kernel has no density")
-
+        raise NoDensityError("deterministic kernel has no density")
+    eps = min(params.delta_stripe / params.gamma_inv_logderiv, 0.999)
     wealth = pop.wealth
     n = wealth.size
     mu = float(wealth.mean())
@@ -769,11 +761,8 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     for pop in simulate(config.build_initial(seed), kernel, config.build_policy(),
                         config.snapshot_step, seed):
         pass
-    gap_params = BoundParams(
-        kappa=config.kappa, delta_stripe=config.delta_stripe,
-        epsilon=min(config.delta_stripe / cal.gamma_inv, 0.999),
-        gamma_inv_logderiv=cal.gamma_inv,
-    )
+    gap_params = BoundParams(kappa=config.kappa, delta_stripe=config.delta_stripe,
+                             gamma_inv_logderiv=cal.gamma_inv)
     gap = ensemble_gap_bound_check(pop, kernel, gap_params, n_pairs=config.n_pairs,
                                    master_seed=seed)
     sections.append(("ensemble_gap", {

@@ -30,18 +30,11 @@ def test_bound_params_validation():
         BoundParams(kappa=0.0)
     with pytest.raises(ValueError, match="delta_stripe"):
         BoundParams(delta_stripe=1.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        BoundParams(epsilon=1.5)
-    with pytest.raises(ValueError, match="gamma_inv_logderiv"):
-        BoundParams(gamma_inv_logderiv=0.0)
-
-
-def test_consistent_epsilon():
-    p = BoundParams(delta_stripe=0.05)
-    assert p.consistent_epsilon(3.0, 14.0) == pytest.approx(0.7)
-    assert p.consistent_epsilon(14.0, 3.0) == pytest.approx(0.7)
-    with pytest.raises(ValueError, match="cannot derive epsilon"):
-        p.consistent_epsilon(math.inf, 2.0)
+    # an infinite Gamma would make the Gini growth allowance infinite and
+    # the gate pass vacuously
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma_inv_logderiv must be positive and finite"):
+            BoundParams(gamma_inv_logderiv=gamma)
 
 
 def test_cv_growth_lower_bound_hand_value():

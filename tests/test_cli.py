@@ -251,3 +251,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path = write(tmp_path / "inf_alpha.yaml", inf_alpha)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
     assert "config error: kernel.alpha: must be finite" in capsys.readouterr().err
+    # removed keys, an infinite Gamma and a seed the streams cannot key
+    # all stop before any run
+    noisy = Path(noisy_config(tmp_path)).read_text()
+    for old, new, message in [
+        ("gamma_disp: 0.2", "gamma_disp: 0.2, delta_logx: 2", "kernel: unknown key 'delta_logx'"),
+        ("seed: 7", "seed: 7\nbounds: {epsilon: 0.5}", "bounds: unknown key 'epsilon'"),
+        ("seed: 7", "seed: 7\nbounds: {gamma_logderiv: .inf}",
+         "bounds.gamma_logderiv: must be positive and finite"),
+    ]:
+        path = write(tmp_path / "bad.yaml", noisy.replace(old, new))
+        assert cli.main(["verify-bounds", "--config", path]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    for seed in (str(2**64), "-1"):
+        assert cli.main(["simulate", "--config", noisy_config(tmp_path), "--seed", seed,
+                         "--out", str(tmp_path / "t.csv")]) == 2
+        assert "config error: --seed: must be in [0, 2**64)" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from ginisim.config import ConfigError, load_config, parse_config
 from ginisim.kernels import LOGNORMAL, KernelSpec
@@ -28,7 +29,7 @@ def test_defaults():
     assert cfg.initial.kind == "point" and cfg.initial.params == {}
     assert cfg.kappas == (0.1, 0.25)
     assert cfg.kappa == 0.25 and cfg.delta_stripe == 0.05
-    assert cfg.epsilon is None and cfg.gamma_logderiv == "dispersion"
+    assert cfg.gamma_logderiv == "dispersion"
     assert cfg.trajectory_out is None and cfg.final_population_out is None
     assert cfg.snapshot_step == 30 and cfg.n_pairs == 2000 and cfg.n_trials == 6
     assert cfg.a_values == (0.5, 1.0, 10.0)
@@ -89,12 +90,12 @@ def test_kernel_errors():
             with pytest.raises(ConfigError, match=rf"^kernel\.{key}: must be finite$"):
                 load_config(data)
 
-    data = base()
-    for spelling in ("inf", "Infinity", ".inf"):
-        data["kernel"]["delta_logx"] = spelling
-        assert load_config(data).kernel.delta_logx == math.inf
-        data["kernel"]["delta_logxp"] = spelling
-        assert load_config(data).kernel.delta_logxp == math.inf
+    # the log-derivative bounds are calibrated by verify-integrals, not claimed
+    for key in ("delta_logx", "delta_logxp"):
+        data = base()
+        data["kernel"][key] = 2.0
+        with pytest.raises(ConfigError, match=rf"^kernel: unknown key '{key}'$"):
+            load_config(data)
 
 
 def test_population_errors():
@@ -172,18 +173,26 @@ def test_proportional_mode_needs_zero_kernel_beta():
 
 def test_bounds_parsing():
     cfg = load_config(base(bounds={"kappa_grid": [0.05, 0.3], "kappa": 0.3,
-                                   "delta_stripe": 0.02, "epsilon": 0.5}))
+                                   "delta_stripe": 0.02}))
     assert cfg.kappas == (0.05, 0.3) and cfg.kappa == 0.3
-    assert cfg.delta_stripe == 0.02 and cfg.epsilon == 0.5
+    assert cfg.delta_stripe == 0.02
 
     with pytest.raises(ConfigError, match="thresholds must be positive"):
         load_config(base(bounds={"kappa_grid": [0.0, 0.25]}))
     with pytest.raises(ConfigError, match="kappa must be in"):
         load_config(base(bounds={"kappa": 0.6}))
-    with pytest.raises(ConfigError, match="must be positive or 'dispersion'"):
+    with pytest.raises(ConfigError, match="must be positive and finite, or 'dispersion'"):
         load_config(base(bounds={"gamma_logderiv": -1.0}))
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(base(bounds={"gamma": 1.0}))
+    # the stripe slack is derived as delta_stripe/Gamma where it is used
+    with pytest.raises(ConfigError, match=r"^bounds: unknown key 'epsilon'$"):
+        load_config(base(bounds={"epsilon": 0.5}))
+    # an infinite Gamma would make the Gini growth gate pass vacuously
+    for value in (".inf", "inf", math.inf, "nan"):
+        with pytest.raises(ConfigError,
+                           match=r"^bounds\.gamma_logderiv: must be positive and finite"):
+            load_config(base(bounds={"gamma_logderiv": value}))
 
 
 def test_output_and_integrals_parsing():
@@ -239,6 +248,18 @@ def test_with_overrides():
     bumped = cfg.with_overrides(seed=9, out="x.csv")
     assert bumped.master_seed == 9 and bumped.trajectory_out == "x.csv"
     assert bumped.kernel is cfg.kernel
+    assert cfg.with_overrides(seed=2**64 - 1).master_seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ConfigError, match=r"^--seed: must be in \[0, 2\*\*64\)"):
+            cfg.with_overrides(seed=seed)
+
+
+def test_master_seed_range():
+    # the random streams key on 64 bits, so a wider seed would alias another
+    assert load_config(base(master_seed=2**64 - 1)).master_seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ConfigError, match=r"^master_seed: must be in \[0, 2\*\*64\)"):
+            load_config(base(master_seed=seed))
 
 
 def test_parse_config_file_handling(tmp_path):
@@ -284,3 +305,12 @@ def test_shipped_configs_parse():
 
     search = parse_config(str(CONFIGS / "threshold_search.yaml"))
     assert search.search is not None and search.search.horizon == 800
+
+
+def test_readme_configuration_block_loads():
+    # the documented surface is the schema: a key the README shows must load
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(yaml.safe_load(block))
+    assert cfg.mode == "proportional" and cfg.search is not None

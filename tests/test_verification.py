@@ -281,19 +281,23 @@ def test_minimality_auto_trials():
 def test_ensemble_gap_hypothesis_failures():
     det = KernelSpec(DETERMINISTIC, alpha=1.02, beta=0.5, gamma_disp=0.0)
     pop = PopulationState(np.ones(32), t=0)
-    report = ensemble_gap_bound_check(pop, det, BoundParams(epsilon=0.5))
-    assert not report.hypotheses_met and not report.satisfied
-    assert "deterministic kernel has no density" in report.message
-    # a kernel with no finite log-derivative claim and no explicit epsilon
-    report = ensemble_gap_bound_check(pop, LN, BoundParams())
-    assert not report.hypotheses_met
-    assert "cannot derive epsilon" in report.message
+    with pytest.raises(NoDensityError, match="deterministic kernel has no density"):
+        ensemble_gap_bound_check(pop, det, BoundParams())
+
+
+def test_ensemble_gap_epsilon_is_delta_over_gamma():
+    pop = initial_lognormal(300, 1.0, 1.0, 11)
+    for gamma, eps in [(0.0734, 0.05 / 0.0734), (0.04, 0.999)]:  # 1.25 is capped
+        params = BoundParams(kappa=0.25, delta_stripe=0.05, gamma_inv_logderiv=gamma)
+        report = ensemble_gap_bound_check(pop, LN, params, n_pairs=32)
+        assert report.epsilon == min(0.05 / gamma, 0.999) == eps
+        assert report.rhs_bound == (0.05 * 0.25 * report.mu * gamma * (1.0 - eps)
+                                    * report.tail_prob**2)
 
 
 def test_ensemble_gap_satisfied_on_spread_population():
     pop = initial_lognormal(300, 1.0, 1.0, 11)
-    params = BoundParams(kappa=0.25, delta_stripe=0.05, epsilon=0.7,
-                         gamma_inv_logderiv=0.0734)
+    params = BoundParams(kappa=0.25, delta_stripe=0.05, gamma_inv_logderiv=0.0734)
     report = ensemble_gap_bound_check(pop, LN, params, n_pairs=300)
     assert report.hypotheses_met and report.n_excluded == 0
     assert report.rhs_bound > 0.0 and report.lhs_mean > report.rhs_bound
@@ -304,8 +308,7 @@ def test_ensemble_gap_too_many_excluded():
     wealth = np.zeros(200)
     wealth[-1] = 1.0
     pop = PopulationState(wealth, t=0)
-    params = BoundParams(epsilon=0.5)
-    report = ensemble_gap_bound_check(pop, LN, params, n_pairs=64)
+    report = ensemble_gap_bound_check(pop, LN, BoundParams(), n_pairs=64)
     assert not report.hypotheses_met
     assert "too many excluded pairs" in report.message
     assert report.n_excluded > 0
