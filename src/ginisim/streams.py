@@ -47,13 +47,21 @@ _ZEROS4.flags.writeable = False
 
 
 def _key(master_seed: int, tag: int, step: int, block: int) -> np.ndarray:
-    """The Philox key of one block of one (seed, tag, step) stream."""
+    """The Philox key of one block of one (seed, tag, step) stream.
+
+    Each field must fit its bits of the key: a value outside its range
+    would alias a stream inside it, so it is rejected, never masked.
+    """
     if block < 0 or block >= (1 << _STEP_BITS):
         raise ValueError(f"block index {block} outside keyable range")
-    if step < 0:
-        raise ValueError(f"step index {step} must be nonnegative")
-    lane = (tag << _TAG_BITS) | ((step & 0xFFFFFFFF) << _STEP_BITS) | block
-    return np.array([master_seed & _MASK64, lane & _MASK64], dtype=np.uint64)
+    if not 0 <= step < (1 << (_TAG_BITS - _STEP_BITS)):
+        raise ValueError(f"step index {step} must be nonnegative and below 2**32")
+    if not 0 <= tag < (1 << (64 - _TAG_BITS)):
+        raise ValueError(f"tag {tag} must be nonnegative and below 256")
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed {master_seed} must be nonnegative and below 2**64")
+    lane = (tag << _TAG_BITS) | (step << _STEP_BITS) | block
+    return np.array([master_seed, lane], dtype=np.uint64)
 
 
 def uniforms_from_raw(raw: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from ginisim.kernels import (
     density,
     high_probability_mass,
     log_density,
+    _gamma_quantile,
     log_derivative_probe,
     transition_from_uniforms,
     unit_mean_noise,
@@ -263,3 +264,48 @@ def test_in_place_transition_matches_the_allocating_form():
     s2 = np.log1p(np.float64(0.3) ** 2)
     w = unit_mean_noise(LOGNORMAL, 0.3, u)
     assert w.tobytes() == np.exp(-0.5 * s2 + np.sqrt(s2) * sp.ndtri(u)).tobytes()
+
+
+# The gamma noise's quantile against scipy's gammaincinv: 1e6 keyed
+# uniforms plus the lattice's end cells and the median.
+_LATTICE_ENDS = np.array([2.0**-53, 0.5, 1.0 - 2.0**-53])
+
+
+@pytest.fixture(scope="module")
+def gate_uniforms():
+    u = np.concatenate([indexed_uniforms(9, TAG_PROBE, 0, 10**6), _LATTICE_ENDS])
+    u.flags.writeable = False
+    return u
+
+
+@pytest.mark.parametrize("rel_sd", [0.01, 0.05, 0.196, 0.5, 1.0, 1.5, 2.0])
+def test_gamma_quantile_within_1e_13_of_gammaincinv(gate_uniforms, rel_sd):
+    shape = rel_sd**-2
+    x = _gamma_quantile(shape, gate_uniforms)
+    ref = sp.gammaincinv(shape, gate_uniforms)
+    assert ref.min() > 0.0 and np.isfinite(ref).all()
+    rel = np.abs(x - ref) / ref
+    assert rel.max() <= 1e-13, (rel_sd, float(rel.max()), float(gate_uniforms[rel.argmax()]))
+
+
+@pytest.mark.parametrize("rel_sd", [0.005, 3.0])
+def test_gamma_quantile_outside_the_gate_is_finite_and_monotone(gate_uniforms, rel_sd):
+    u = np.sort(gate_uniforms)
+    x = _gamma_quantile(rel_sd**-2, u)
+    assert np.isfinite(x).all() and x.min() >= 0.0
+    assert (np.diff(x) >= 0.0).all()
+
+
+def test_gamma_quantile_of_a_0d_uniform_equals_its_array_value():
+    u = np.concatenate([indexed_uniforms(4, TAG_PROBE, 0, 64), _LATTICE_ENDS])
+    for shape in (0.25, 1.0, 26.03, 1e4):
+        x = _gamma_quantile(shape, u)
+        for i in (0, 17, 63, 64, 65, 66):
+            one = _gamma_quantile(shape, u[i])
+            assert isinstance(one, float) and one == x[i], (shape, i)
+            assert _gamma_quantile(shape, np.array(u[i])) == x[i]
+
+
+def test_gamma_noise_takes_a_scalar_rel_sd():
+    with pytest.raises(ValueError, match="one scalar rel_sd"):
+        unit_mean_noise(GAMMA, np.array([0.2, 0.3]), np.array([0.5, 0.5]))

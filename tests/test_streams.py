@@ -71,6 +71,28 @@ def test_block_index_range_checked():
         block_uniforms(0, TAG_STEP, -1, 0, 8)
 
 
+# Each of these was once masked into range and aliased an in-range key:
+# seed 2**64 drew seed 0's uniforms, seed -1 those of 2**64 - 1, step
+# 2**32 those of step 0 and tag 256 those of tag 0.
+@pytest.mark.parametrize("seed, tag, step, field", [
+    (2**64, TAG_STEP, 0, "master_seed"),
+    (-1, TAG_STEP, 0, "master_seed"),
+    (0, 256, 0, "tag"),
+    (0, TAG_STEP, 2**32, "step index"),
+], ids=["seed-2**64", "seed-minus-1", "tag-256", "step-2**32"])
+def test_out_of_range_key_fields_are_rejected(seed, tag, step, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        indexed_uniforms(seed, tag, step, 5)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        block_uniforms(seed, tag, step, 0, 5)
+
+
+def test_key_field_range_ends_are_keyable():
+    top = indexed_uniforms(2**64 - 1, 255, 2**32 - 1, 5)
+    assert top.shape == (5,) and 0.0 < top.min() and top.max() < 1.0
+    assert not np.array_equal(top, indexed_uniforms(0, 0, 0, 5))
+
+
 # sha256 of indexed_uniforms(seed, tag, step, n).tobytes(), recorded from
 # the one-generator-per-block implementation; any change to the keys, the
 # block layout or the lattice shows up here.
