@@ -32,7 +32,6 @@ from .dynamics import run
 from .experiments import (
     AmbiguousProbeError,
     BracketError,
-    MonotonicityError,
     find_min_stabilizing_salary_fraction,
     verify_bounds,
 )
@@ -264,8 +263,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, AmbiguousProbeError, MonotonicityError,
-            QuadratureError, ValueError, OSError) as exc:
+    except (BracketError, AmbiguousProbeError, QuadratureError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -185,12 +185,13 @@ def trajectory(config, kappas=()):
     """Generator of (PopulationState, SnapshotMetrics) rows of a configured run.
 
     The initial state comes first, then one row per step; each state is
-    measured once, with tail probabilities at ``kappas``.
+    measured once, with tail probabilities at ``kappas``, and not
+    validated again: its constructor did that.
     """
     states = simulate(config.build_initial(), config.kernel, config.build_policy(),
                       config.steps, config.master_seed)
     for pop in states:
-        yield pop, metrics.snapshot(pop.wealth, pop.t, kappas)
+        yield pop, metrics.snapshot_unchecked(pop.wealth, pop.t, kappas)
 
 
 def run(config):

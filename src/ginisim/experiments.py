@@ -41,10 +41,6 @@ class AmbiguousProbeError(RuntimeError):
     """A bisection probe classified as inconclusive; cannot pick a side."""
 
 
-class MonotonicityError(RuntimeError):
-    """Probes contradict the assumed monotone stabilized-above-threshold order."""
-
-
 def classify_trajectory(gini_series, window: int) -> str:
     """Late-time verdict from a Gini series, compared over its last two windows."""
     g = np.asarray(gini_series, dtype=np.float64)
@@ -212,7 +208,9 @@ def bisect_threshold(classify_at, c_lo: float, c_hi: float, tol: float):
 
     ``classify_at`` maps a coefficient to a verdict string.  The bracket
     must already be validated.  Returns (midpoint, probes) where probes
-    is the ordered list of (c, verdict) evaluated here.
+    is the ordered list of (c, verdict) evaluated here.  A diverging
+    probe becomes ``lo`` and a stabilized one ``hi``, so every diverging
+    probe lies below every stabilized one.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -240,19 +238,6 @@ class ProbeRecord:
     verdict: str
     final_gini: float
     final_cv: float
-
-
-def _check_probe_monotonicity(probes: list[ProbeRecord]) -> None:
-    ordered = sorted(probes, key=lambda p: p.c)
-    first_stabilized = None
-    for p in ordered:
-        if p.verdict == STABILIZED and first_stabilized is None:
-            first_stabilized = p.c
-        if p.verdict == DIVERGING and first_stabilized is not None and p.c > first_stabilized:
-            raise MonotonicityError(
-                f"diverging probe at c={p.c:.6g} above stabilized probe at "
-                f"c={first_stabilized:.6g}; threshold is not well defined"
-            )
 
 
 @dataclass(frozen=True)
@@ -307,7 +292,6 @@ def find_min_stabilizing_salary_fraction(config) -> ThresholdSearchResult:
         )
 
     c_star, _ = bisect_threshold(probe, spec.c_lo, spec.c_hi, spec.tol)
-    _check_probe_monotonicity(probes)
 
     c_ref = min(p.c for p in probes if p.verdict == STABILIZED)
     plateau_cv = float(cv_series_at[c_ref][-w:].mean())

@@ -10,11 +10,11 @@ them:
   threshold do not exceed.
 
 Besides the point estimators, the module provides influence-function
-standard errors and a fast multinomial bootstrap for the next-step CV^2
-recursion.  Those feed the toleranced inequality gates: the recursion
-bound is tight (an equality in expectation for exact-dispersion
-kernels), so roughly half of all steps sit below it by pure sampling
-noise and a zero-tolerance comparison would be meaningless.
+standard errors for the next-step CV^2 recursion and the Gini change.
+Those feed the toleranced inequality gates: the recursion bound is tight
+(an equality in expectation for exact-dispersion kernels), so roughly
+half of all steps sit below it by pure sampling noise and a
+zero-tolerance comparison would be meaningless.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import streams
 
 
 # Wealth whose largest value has a binary exponent within +-_EXPONENT_BAND
@@ -139,7 +137,21 @@ def snapshot(wealth, t: int, kappas=()) -> SnapshotMetrics:
     Each field equals its standalone function bit for bit; the tail
     counts are n - searchsorted(sorted, kappa*mu, side="right").
     """
-    x, e = _checked(wealth)
+    x, _ = _checked(wealth, rescale=False)
+    return snapshot_unchecked(x, t, kappas)
+
+
+def snapshot_unchecked(x: np.ndarray, t: int, kappas=()) -> SnapshotMetrics:
+    """`snapshot` of a wealth vector that is already validated.
+
+    ``x`` must be a flat float64 vector of at least 2 finite, nonnegative
+    values, as a `PopulationState` holds; nothing here checks that.
+    `dynamics.trajectory` measures each state through this, so a step
+    validates its state once, in the state's constructor.
+    """
+    e = _exponent(x.max())
+    if e:
+        x = np.ldexp(x, -e)
     mu = _mean(x, "snapshot")
     sigma = x.std()
     xs = np.sort(x)
@@ -185,7 +197,7 @@ def gini_influence(wealth) -> np.ndarray:
     x, _ = _checked(wealth)
     n = x.size
     mu = x.mean()
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # tied values get equal u_i in any order, up to rounding
     xs = x[order]
     prefix = np.cumsum(xs)
     total = prefix[-1]
@@ -198,23 +210,13 @@ def gini_influence(wealth) -> np.ndarray:
     return (u / n - mean_abs) / mu - (g / mu) * (x - mu)
 
 
-def _bootstrap_counts(n: int, n_boot: int, master_seed: int, sequence: int) -> np.ndarray:
-    """Multinomial resampling counts, (n_boot, n), from the keyed streams."""
-    out = np.empty((n_boot, n), dtype=np.float64)
-    for b in range(n_boot):
-        u = streams.indexed_uniforms(master_seed, streams.TAG_PROBE, sequence * n_boot + b, n)
-        idx = np.minimum((u * n).astype(np.int64), n - 1)
-        out[b] = np.bincount(idx, minlength=n)
-    return out
-
-
 def cv_recursion_delta_se(wealth_prev, wealth_next, alpha: float, beta: float,
                           gamma_disp: float) -> float:
     """Delta-method SE of CV^2(next) - recursion bound(prev), paired by agent.
 
     Linearizes the bound in (CV^2, mu) of the previous population and
-    differences the influence functions agent by agent.  Cheap O(N)
-    companion to the bootstrap, suitable for per-step gating.
+    differences the influence functions agent by agent: O(N), cheap
+    enough for per-step gating.
     """
     xp, xn, e = _checked_pair(wealth_prev, wealth_next)
     beta = np.ldexp(beta, -e)  # the one input in wealth units
@@ -228,32 +230,3 @@ def cv_recursion_delta_se(wealth_prev, wealth_next, alpha: float, beta: float,
     if_prev = db_dv * cv_squared_influence(xp) + db_dmu * (xp - mu)
     if_diff = cv_squared_influence(xn) - if_prev
     return float(if_diff.std(ddof=1) / np.sqrt(xp.size))
-
-
-def cv_recursion_bootstrap_se(
-    wealth_prev,
-    wealth_next,
-    bound_fn,
-    n_boot: int = 64,
-    master_seed: int = 0,
-    sequence: int = 0,
-) -> float:
-    """Paired bootstrap SE of D = CV^2(next) - bound_fn(CV(prev), mu(prev)).
-
-    Agents are resampled jointly in both populations, preserving the
-    coupling between a wealth value and its own next-step draw.  Both
-    statistics reduce to weighted first and second moments, so each
-    replicate is two matrix products over the resampling counts.
-    ``bound_fn`` receives mu in wealth units.
-    """
-    xp, xn, e = _checked_pair(wealth_prev, wealth_next)
-    n = xp.size
-    counts = _bootstrap_counts(n, n_boot, master_seed, sequence)
-    cols = np.column_stack([xp, xp * xp, xn, xn * xn])
-    sums = counts @ cols  # (n_boot, 4)
-    mu_p = sums[:, 0] / n
-    cv2_p = sums[:, 1] / (n * mu_p**2) - 1.0
-    mu_n = sums[:, 2] / n
-    cv2_n = sums[:, 3] / (n * mu_n**2) - 1.0
-    d = cv2_n - bound_fn(np.sqrt(np.maximum(cv2_p, 0.0)), np.ldexp(mu_p, e))
-    return float(np.std(d, ddof=1))

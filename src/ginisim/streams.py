@@ -31,9 +31,9 @@ BLOCK = 4096
 # under the run's own master seed unless noted:
 TAG_STEP = 0         # dynamics: transition draws, sequence = time step
 TAG_INIT = 1         # dynamics: random initial conditions, sequence 0
-TAG_PROBE = 2        # metrics: bootstrap resamples; verification: the
-                     # pair-integral Monte Carlo oracle; verify-bounds:
-                     # its leak estimate, always at seed 0, sequence 0
+TAG_PROBE = 2        # verification: the pair-integral Monte Carlo
+                     # oracle; verify-bounds: its leak estimate, always
+                     # at seed 0, sequence 0
 TAG_CALIBRATION = 3  # calibration: sequence 0 transitions, 1 input mass,
                      # 2 output mass
 TAG_PAIRS = 4        # ensemble gap: pair indices i (0) and j (1)

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from ginisim import cli
-from ginisim.bounds import (adaptation_substitution, cv_growth_lower_bound,
-                            cv_halting_condition, general_cv_condition)
+from ginisim.bounds import (adaptation_substitution, cv_halting_condition,
+                            general_cv_condition)
 from ginisim.config import parse_config
 from ginisim.dynamics import run
 from ginisim.experiments import STABILIZED, classify_trajectory, \
-    find_min_stabilizing_salary_fraction
+    find_min_stabilizing_salary_fraction, verify_bounds
 from ginisim.kernels import GAMMA, KernelSpec
-from ginisim.metrics import cv_recursion_bootstrap_se, gini, gini_pairwise_oracle
+from ginisim.metrics import gini, gini_pairwise_oracle
 from ginisim.verification import (calibrate_log_derivative_bound,
                                   diagonal_bound_check, extremal_minimality_check,
                                   truncated_pareto, verify_integrals)
@@ -46,66 +46,38 @@ class ScenarioBundle:
     min_saturation_slack: float
     halting_flags: list
     min_salary_flags: list
-    checked_steps: int
-    raw_violations: int
-    violations_beyond_5se: int
-    worst_violation_se_ratio: float
 
 
-def collect_scenario_bundle(config_name: str,
-                            bootstrap_violations: bool = False) -> ScenarioBundle:
-    """Single pass over a shipped scenario collecting everything gated below.
-
-    When ``bootstrap_violations`` is set, every step whose empirical CV^2
-    dips under the recursion bound gets a paired-bootstrap standard error
-    of the gap, priced on the spot because the two wealth arrays are only
-    alive for one iteration.
-    """
+def collect_scenario_bundle(config_name: str) -> ScenarioBundle:
+    """Single pass over a shipped scenario collecting what claims 02, 04, 05 and 07 gate."""
     config = parse_config(str(CONFIGS / config_name))
-    kernel = config.kernel
-
-    def bound_rhs(cv, mu):
-        return cv_growth_lower_bound(cv, kernel.alpha, kernel.beta, mu,
-                                     kernel.gamma_disp)
-
     snaps, halting, min_salary = [], [], []
     min_sat = math.inf
-    checked = raw = beyond = 0
-    worst = 0.0
-    prev_wealth = prev_snap = None
-    for pop, snap, records, _ in run(config):
+    for _, snap, records, _ in run(config):
         by_name = {r.name: r for r in records}
         snaps.append(snap)
         halting.append(bool(by_name["cv_halting"].satisfied))
         min_salary.append(bool(by_name["min_salary"].satisfied))
         for kappa in (0.1, 0.25):
             min_sat = min(min_sat, by_name[f"saturation_{kappa:g}"].slack)
-        growth = by_name["cv_growth"]
-        if prev_snap is not None:
-            checked += 1
-            if growth.slack < 0.0:
-                raw += 1
-                if bootstrap_violations:
-                    se = cv_recursion_bootstrap_se(
-                        prev_wealth, pop.wealth, bound_rhs, n_boot=24,
-                        master_seed=config.master_seed, sequence=snap.t)
-                    ratio = (-growth.slack / se) if se > 0.0 else math.inf
-                    worst = max(worst, ratio)
-                    if ratio > 5.0:
-                        beyond += 1
-        prev_wealth, prev_snap = pop.wealth, snap
 
     series = [s.gini for s in snaps]
     n_windows = (len(series) - 1) // WINDOW
     means = [float(np.mean(series[1 + i * WINDOW:1 + (i + 1) * WINDOW]))
              for i in range(n_windows)]
-    return ScenarioBundle(snaps, means, min_sat, halting, min_salary,
-                          checked, raw, beyond, worst)
+    return ScenarioBundle(snaps, means, min_sat, halting, min_salary)
 
 
 @pytest.fixture(scope="session")
 def flagship():
-    return collect_scenario_bundle("flagship.yaml", bootstrap_violations=True)
+    return collect_scenario_bundle("flagship.yaml")
+
+
+@pytest.fixture(scope="session")
+def flagship_bounds():
+    """The verify-bounds sections of the flagship config, by name."""
+    sections, _ = verify_bounds(parse_config(str(CONFIGS / "flagship.yaml")))
+    return dict(sections)
 
 
 @pytest.fixture(scope="session")
@@ -162,22 +134,21 @@ def test_02_unsalaried_concentration_saturates(flagship):
                  + " -> ".join(f"{m:.4f}" for m in means))
 
 
-def test_03_cv_recursion_lower_bound(flagship):
+def test_03_cv_recursion_lower_bound(flagship_bounds):
     # The recursion is an equality in expectation, so finite-N noise dips
-    # under it on roughly half the steps; a step only counts against the
-    # budget when its dip exceeds 5 paired-bootstrap standard errors.
-    b = flagship
-    within = b.checked_steps - b.violations_beyond_5se
-    fraction = within / b.checked_steps
-    ok = (fraction >= 0.99
-          and b.raw_violations == 932
-          and b.violations_beyond_5se == 1
-          and b.worst_violation_se_ratio
-          == pytest.approx(6.912515503096941, rel=1e-9))
+    # under it on roughly half the steps; verify-bounds counts a step
+    # against the budget only when its dip exceeds 5 delta-method
+    # standard errors (metrics.cv_recursion_delta_se).
+    b = flagship_bounds["cv_growth"]
+    fraction = (b["checked"] - b["beyond_tolerance"]) / b["checked"]
+    ok = (fraction >= 0.99 and b["pass"]
+          and b["raw_violations"] == 932
+          and b["beyond_tolerance"] == 6
+          and b["worst_violation_se"] == pytest.approx(8.00490853525948, rel=1e-9))
     assert check(3, "cv recursion lower bound", ok,
-                 f"{b.raw_violations}/{b.checked_steps} raw dips, "
-                 f"{b.violations_beyond_5se} beyond 5 SE (worst "
-                 f"{b.worst_violation_se_ratio:.2f}), {fraction:.2%} within tolerance")
+                 f"{b['raw_violations']}/{b['checked']} raw dips, "
+                 f"{b['beyond_tolerance']} beyond 5 SE (worst "
+                 f"{b['worst_violation_se']:.2f}), {fraction:.2%} within tolerance")
 
 
 def test_04_constant_salary_eventually_fails(salaried):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ginisim import metrics
 from ginisim.config import load_config
 from ginisim.dynamics import (
     GrowthPolicy,
@@ -235,3 +236,25 @@ def test_run_rows_are_the_trajectory_rows():
         assert snap == snap_t
         # proportional mode: beta_t = c * mu_t of the row's own snapshot
         assert (alpha, beta) == (1.02, 0.05 * snap.mu)
+
+
+def test_trajectory_validates_each_state_once(monkeypatch):
+    # PopulationState validates every state; measuring it must not again
+    cfg = load_config({
+        "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0,
+                   "gamma_disp": 0.2},
+        "population": {"n_agents": 300, "steps": 5},
+        "master_seed": 4,
+    })
+    checked = metrics._checked
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_checked", counting)
+    rows = list(trajectory(cfg, kappas=(0.5, 2.0)))
+    assert len(rows) == 6 and not calls
+    for pop, snap in rows:  # and it measures what snapshot measures
+        assert snap == metrics.snapshot(pop.wealth, pop.t, (0.5, 2.0))

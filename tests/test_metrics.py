@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ginisim import metrics
+from ginisim.bounds import cv_growth_lower_bound
 from ginisim.metrics import (
     coefficient_of_variation,
     gini,
@@ -189,21 +190,19 @@ def test_influence_functions_are_centered():
     assert abs(metrics.gini_influence(x).mean()) < 1e-10
 
 
-def test_delta_and_bootstrap_se_agree_in_order_of_magnitude():
+def test_delta_se_matches_monte_carlo_sd_of_the_gap():
+    # 400 independent (prev, next) population pairs: the spread of
+    # D = CV^2(next) - bound(prev) across them is what the SE estimates
     rng = np.random.default_rng(5)
-    n = 4000
-    prev = rng.lognormal(0.0, 0.5, size=n)
-    mult = rng.lognormal(-0.02, 0.2, size=n)
-    nxt = prev * mult
-
-    def bound_fn(cv, mu):
-        return ((1.0 + 0.04) * cv**2 + 0.04) / (1.0 + 0.5 / mu) ** 2
-
-    se_d = metrics.cv_recursion_delta_se(prev, nxt, 1.0, 0.5, 0.2)
-    se_b = metrics.cv_recursion_bootstrap_se(prev, nxt, bound_fn, n_boot=128,
-                                             master_seed=9)
-    assert se_d > 0.0 and se_b > 0.0
-    assert 0.3 < se_d / se_b < 3.0
+    reps, n = 400, 4000
+    prev = rng.lognormal(0.0, 0.5, size=(reps, n))
+    nxt = prev * rng.lognormal(-0.02, 0.2, size=(reps, n))
+    mu_p = prev.mean(axis=1)
+    cv2_n = (nxt.std(axis=1) / nxt.mean(axis=1)) ** 2
+    d = cv2_n - cv_growth_lower_bound(prev.std(axis=1) / mu_p, 1.0, 0.5, mu_p, 0.2)
+    se = np.median([metrics.cv_recursion_delta_se(p, q, 1.0, 0.5, 0.2)
+                    for p, q in zip(prev, nxt)])
+    assert 0.8 <= se / d.std(ddof=1) <= 1.2
 
 
 @pytest.mark.parametrize("shift", [600, -600])
@@ -212,34 +211,9 @@ def test_paired_se_invariant_under_extreme_binary_scaling(shift):
     rng = np.random.default_rng(5)
     prev = rng.lognormal(0.0, 0.5, size=400)
     nxt = prev * rng.lognormal(-0.02, 0.2, size=400)
-    beta = 0.5
-    scaled_beta = math.ldexp(beta, shift)
-
-    def bound_with(b):
-        return lambda cv, mu: ((1.0 + 0.04) * cv**2 + 0.04) / (1.0 + b / mu) ** 2
-
     big_prev, big_nxt = np.ldexp(prev, shift), np.ldexp(nxt, shift)
-    assert (metrics.cv_recursion_delta_se(big_prev, big_nxt, 1.0, scaled_beta, 0.2)
-            == metrics.cv_recursion_delta_se(prev, nxt, 1.0, beta, 0.2))
-    assert (metrics.cv_recursion_bootstrap_se(big_prev, big_nxt, bound_with(scaled_beta),
-                                              n_boot=16, master_seed=9)
-            == metrics.cv_recursion_bootstrap_se(prev, nxt, bound_with(beta),
-                                                 n_boot=16, master_seed=9))
-
-
-def test_bootstrap_se_deterministic_given_seed():
-    rng = np.random.default_rng(8)
-    prev = rng.uniform(0.5, 2.0, size=300)
-    nxt = prev * 1.01
-
-    def bound_fn(cv, mu):
-        return cv**2
-
-    a = metrics.cv_recursion_bootstrap_se(prev, nxt, bound_fn, n_boot=32,
-                                          master_seed=4, sequence=2)
-    b = metrics.cv_recursion_bootstrap_se(prev, nxt, bound_fn, n_boot=32,
-                                          master_seed=4, sequence=2)
-    assert a == b
+    assert (metrics.cv_recursion_delta_se(big_prev, big_nxt, 1.0, math.ldexp(0.5, shift), 0.2)
+            == metrics.cv_recursion_delta_se(prev, nxt, 1.0, 0.5, 0.2))
 
 
 def test_paired_se_requires_equal_sizes():
