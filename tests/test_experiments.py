@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ginisim.config import ConfigError, RunConfig, SearchSpec, parse_config
+from ginisim.config import ConfigError, InitialSpec, RunConfig, SearchSpec, parse_config
 from ginisim.dynamics import run
 from ginisim.experiments import (
     DIVERGING,
@@ -18,8 +18,12 @@ from ginisim.experiments import (
     classify_trajectory,
     find_min_stabilizing_salary_fraction,
     gini_cv_series,
+    verify_bounds,
 )
 from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
+from ginisim.verification import format_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_classify_verdicts():
@@ -139,3 +143,25 @@ def test_search_on_shipped_config():
     assert result.plateau_cv > 0.0
     assert result.ratio_to_scale == pytest.approx(
         result.c_star / result.reference_scale)
+
+
+# Two small runs with consecutive gini_growth dips; their reports were
+# recorded before verify_bounds became a fold over run rows.  "fail"
+# exits 1: cv_growth has 4 of 300 steps beyond tolerance (budget 3).
+GOLDEN_CONFIGS = {
+    "pass": RunConfig(
+        kernel=KernelSpec(LOGNORMAL, alpha=1.02, beta=0.5, gamma_disp=0.25),
+        n_agents=3000, steps=250, master_seed=7,
+        initial=InitialSpec("uniform", {"low": 0.5, "high": 1.5})),
+    "fail": RunConfig(
+        kernel=KernelSpec(LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2),
+        n_agents=2000, steps=300, master_seed=42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_verify_bounds_report_is_pinned(name):
+    sections, failures = verify_bounds(GOLDEN_CONFIGS[name])
+    text = "\n".join([format_report(sections), *failures]) + "\n"
+    assert text == (GOLDEN / f"verify_bounds_{name}.txt").read_text(encoding="utf-8")
+    assert bool(failures) == (name == "fail")
