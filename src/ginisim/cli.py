@@ -4,10 +4,10 @@ Subcommands:
 
 * ``simulate``: run a configured trajectory, stream per-step metrics and
   inequality rows to CSV, optionally dump the final population.
-* ``verify-bounds``: rerun a config and gate the theorem-backed
-  inequalities (CV recursion, Gini growth, saturation chain) with their
-  sampling tolerances; exit 1 on any hard violation.  The report is
-  `experiments.verify_bounds`.
+* ``verify-bounds``: fold the rows of a config's run into gates on the
+  theorem-backed inequalities (CV recursion, Gini growth, saturation
+  chain) with their sampling tolerances; exit 1 on any hard violation.
+  The report is `experiments.verify_bounds`.
 * ``verify-integrals``: calibrate the kernel's log-derivative constants
   and check the whole pair-integral bound chain by quadrature.  The
   report is `verification.verify_integrals`.
@@ -81,34 +81,25 @@ def _row(snap, records) -> str:
 def cmd_simulate(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, args.out)
     out_path = config.trajectory_out or "trajectory.csv"
-    final_pop = None
-    last_snap = None
-    wrote_header = False
     with open(out_path, "w", encoding="utf-8") as fh:
         try:
             for pop, snap, records, _ in run(config):
-                if not wrote_header:
+                if snap.t == 0:
                     fh.write(_header(sorted(snap.tail_probs),
                                      [r.name for r in records]) + "\n")
-                    wrote_header = True
                 fh.write(_row(snap, records) + "\n")
-                final_pop, last_snap = pop, snap
-        except Exception as exc:  # partial rows stay flushed on disk
+        except ValueError as exc:  # run names the step; partial rows stay on disk
             fh.flush()
-            print(f"simulation aborted at step "
-                  f"{last_snap.t + 1 if last_snap else 0}: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
             return 1
-    if config.final_population_out and final_pop is not None:
-        wealth = final_pop.wealth
+    if config.final_population_out:
         with open(config.final_population_out, "w", encoding="utf-8") as fh:
             # one write per chunk: a single join of all N lines costs ~100 B
             # per agent of peak memory
-            for i in range(0, wealth.size, 8192):
-                chunk = wealth[i:i + 8192].tolist()
+            for i in range(0, pop.n, 8192):
+                chunk = pop.wealth[i:i + 8192].tolist()
                 fh.write("".join(["%.17g\n" % v for v in chunk]))
-    if last_snap is not None:
-        print(f"final t={last_snap.t} mu={_f12(last_snap.mu)} "
-              f"cv={_f12(last_snap.cv)} gini={_f12(last_snap.gini)}")
+    print(f"final t={snap.t} mu={_f12(snap.mu)} cv={_f12(snap.cv)} gini={_f12(snap.gini)}")
     print(f"trajectory written to {out_path}")
     return 0
 
@@ -130,7 +121,7 @@ def _print_report(sections, out_path) -> None:
 
 def cmd_verify_bounds(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, None)
-    sections, failures = verify_bounds(config)
+    sections, failures = verify_bounds(config, run(config))
     _print_report(sections, args.out)
     if failures:
         print("FAILURES:", file=sys.stderr)

@@ -201,17 +201,21 @@ def run(config):
     coefficients that act on its population in the next step.  The
     initial row comes first (recursion rows nan there).  Rows appear
     incrementally so callers can stream them to disk and keep partial
-    output on failure.
+    output on failure.  A ValueError while a row is built is raised
+    again with the row's step named in front of its message.
     """
     kernel = config.kernel
     policy = config.build_policy()
     params = config.bound_params()
     # the report layer looks its kappa up in the snapshot, so force it in
     kappas = tuple(sorted(set(config.kappas) | {params.kappa}))
-    prev_snap, prev_ab = None, (math.nan, math.nan)
-    for pop, snap in trajectory(config, kappas):
-        now_ab = policy.linear_coefficients(snap.mu, kernel)
-        records = step_bound_report(prev_snap, snap, *prev_ab, *now_ab,
-                                    kernel.gamma_disp, params)
-        yield pop, snap, records, now_ab
-        prev_snap, prev_ab = snap, now_ab
+    prev_snap, prev_ab, t = None, (math.nan, math.nan), 0
+    try:
+        for pop, snap in trajectory(config, kappas):
+            now_ab = policy.linear_coefficients(snap.mu, kernel)
+            records = step_bound_report(prev_snap, snap, *prev_ab, *now_ab,
+                                        kernel.gamma_disp, params)
+            yield pop, snap, records, now_ab
+            prev_snap, prev_ab, t = snap, now_ab, snap.t + 1
+    except ValueError as exc:
+        raise ValueError(f"simulation aborted at step {t}: {exc}") from exc

@@ -6,8 +6,8 @@ settled at moderate concentration ("stabilized"), or neither
 ("inconclusive").  The search bisects the proportional-transfer
 coefficient between a diverging and a stabilized bracket, every probe
 using the same seed so the classifier is a pure function of the
-coefficient.  `verify_bounds` replays a run and prices each dip under
-the growth recursions against its sampling error.
+coefficient.  `verify_bounds` folds the rows of a run and prices each
+dip under the growth recursions against its sampling error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics, streams
 from .bounds import redistribution_variability_lower_bound
 from .config import ConfigError
-from .dynamics import run, trajectory
+from .dynamics import trajectory
 from .kernels import high_probability_mass
 
 DIVERGING = "diverging"
@@ -66,15 +66,17 @@ def gini_cv_series(config) -> tuple[np.ndarray, np.ndarray]:
     return np.array([s.gini for s in snaps]), np.array([s.cv for s in snaps])
 
 
-def verify_bounds(config) -> tuple[list[tuple[str, dict]], list[str]]:
-    """Replay a configured run and gate its trajectory inequalities.
+def verify_bounds(config, rows) -> tuple[list[tuple[str, dict]], list[str]]:
+    """Fold the rows of a configured run and gate its trajectory inequalities.
 
-    Returns (sections, failure_lines).  The sections are the report:
-    the hypothesis leak, one gated section per family (cv_growth,
-    gini_growth, saturation) with its own ``pass``, then one ungated
-    tally per regime indicator.  ``failure_lines`` is empty when every
-    gate passes; otherwise it holds up to 20 saturation and family
-    failures followed by up to 20 per-step dips beyond their allowance.
+    ``rows`` yields the rows of ``dynamics.run(config)``; the fold holds
+    two at a time, never the trajectory.  Returns (sections,
+    failure_lines).  The sections are the report: the hypothesis leak,
+    one gated section per family (cv_growth, gini_growth, saturation)
+    with its own ``pass``, then one ungated tally per regime indicator.
+    ``failure_lines`` is empty when every gate passes; otherwise it holds
+    up to 20 saturation and family failures followed by up to 20
+    per-step dips beyond their allowance.
     """
     params = config.bound_params()
     kernel = config.kernel
@@ -95,9 +97,10 @@ def verify_bounds(config) -> tuple[list[tuple[str, dict]], list[str]]:
     step_failures: list[str] = []
     saturation_failures: list[str] = []
     worst_se_ratio = 0.0
-    prev_pop = prev_snap = prev_ab = None
+    # carried_if: Gini influence at step carried_t, kept alive (freeing it re-faults heap)
+    prev_pop = prev_snap = prev_ab = carried_t = carried_if = None
 
-    for pop, snap, records, now_ab in run(config):
+    for pop, snap, records, now_ab in rows:
         by_name = {r.name: r for r in records}
         for rec in records:
             if rec.name.startswith("saturation_"):
@@ -133,9 +136,11 @@ def verify_bounds(config) -> tuple[list[tuple[str, dict]], list[str]]:
             checked["gini_growth"] += 1
             if rec.satisfied is False:
                 raw_violations["gini_growth"] += 1
-                if_prev = metrics.gini_influence(prev_pop.wealth)
+                if carried_t != prev_snap.t:
+                    carried_if = metrics.gini_influence(prev_pop.wealth)
                 if_next = metrics.gini_influence(pop.wealth)
-                se = float((if_next - if_prev).std(ddof=1) / np.sqrt(pop.n))
+                se = float((if_next - carried_if).std(ddof=1) / np.sqrt(pop.n))
+                carried_t, carried_if = snap.t, if_next
                 p_prev = prev_snap.tail_probs.get(params.kappa, 0.0)
                 grow_term = redistribution_variability_lower_bound(
                     params, prev_snap.mu, p_prev)

@@ -25,11 +25,11 @@ import numpy as np
 
 
 # Wealth whose largest value has a binary exponent within +-_EXPONENT_BAND
-# is used as it is: sums over 2^63 agents and squares of the largest
-# deviations neither overflow nor underflow.  Outside the band the vector
-# is rescaled by an exact power of two; Gini, CV and tail probabilities are
-# scale-free, so they stay accurate to rounding over the whole finite range.
-_EXPONENT_BAND = 448
+# is used as it is: sums over 2^63 agents, squares of the largest values and
+# the cube of the mean (>= max/2^63) stay in the normal range.  Outside the
+# band the vector is rescaled by an exact power of two; every statistic here
+# is scale-free, so it stays accurate to rounding over the whole finite range.
+_EXPONENT_BAND = 276
 
 
 def _checked(wealth, rescale: bool = True) -> tuple[np.ndarray, int]:

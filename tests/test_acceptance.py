@@ -46,38 +46,46 @@ class ScenarioBundle:
     min_saturation_slack: float
     halting_flags: list
     min_salary_flags: list
+    bounds: dict | None  # verify-bounds sections by name, when gated
 
 
-def collect_scenario_bundle(config_name: str) -> ScenarioBundle:
-    """Single pass over a shipped scenario collecting what claims 02, 04, 05 and 07 gate."""
+def collect_scenario_bundle(config_name: str, gate: bool = False) -> ScenarioBundle:
+    """Single pass over a shipped scenario collecting what claims 02-05 and 07 gate.
+
+    With ``gate`` the same rows are folded by `verify_bounds` on their
+    way through, so its sections cost no second simulation.
+    """
     config = parse_config(str(CONFIGS / config_name))
-    snaps, halting, min_salary = [], [], []
-    min_sat = math.inf
-    for _, snap, records, _ in run(config):
-        by_name = {r.name: r for r in records}
-        snaps.append(snap)
-        halting.append(bool(by_name["cv_halting"].satisfied))
-        min_salary.append(bool(by_name["min_salary"].satisfied))
-        for kappa in (0.1, 0.25):
-            min_sat = min(min_sat, by_name[f"saturation_{kappa:g}"].slack)
+    snaps, halting, min_salary, slacks = [], [], [], []
+
+    def recorded_rows():
+        for row in run(config):
+            _, snap, records, _ = row
+            by_name = {r.name: r for r in records}
+            snaps.append(snap)
+            halting.append(bool(by_name["cv_halting"].satisfied))
+            min_salary.append(bool(by_name["min_salary"].satisfied))
+            slacks.extend(by_name[f"saturation_{kappa:g}"].slack for kappa in (0.1, 0.25))
+            yield row
+
+    bounds = None
+    if gate:
+        sections, _ = verify_bounds(config, recorded_rows())
+        bounds = dict(sections)
+    else:
+        for _ in recorded_rows():
+            pass
 
     series = [s.gini for s in snaps]
     n_windows = (len(series) - 1) // WINDOW
     means = [float(np.mean(series[1 + i * WINDOW:1 + (i + 1) * WINDOW]))
              for i in range(n_windows)]
-    return ScenarioBundle(snaps, means, min_sat, halting, min_salary)
+    return ScenarioBundle(snaps, means, min(slacks), halting, min_salary, bounds)
 
 
 @pytest.fixture(scope="session")
 def flagship():
-    return collect_scenario_bundle("flagship.yaml")
-
-
-@pytest.fixture(scope="session")
-def flagship_bounds():
-    """The verify-bounds sections of the flagship config, by name."""
-    sections, _ = verify_bounds(parse_config(str(CONFIGS / "flagship.yaml")))
-    return dict(sections)
+    return collect_scenario_bundle("flagship.yaml", gate=True)
 
 
 @pytest.fixture(scope="session")
@@ -134,12 +142,12 @@ def test_02_unsalaried_concentration_saturates(flagship):
                  + " -> ".join(f"{m:.4f}" for m in means))
 
 
-def test_03_cv_recursion_lower_bound(flagship_bounds):
+def test_03_cv_recursion_lower_bound(flagship):
     # The recursion is an equality in expectation, so finite-N noise dips
     # under it on roughly half the steps; verify-bounds counts a step
     # against the budget only when its dip exceeds 5 delta-method
     # standard errors (metrics.cv_recursion_delta_se).
-    b = flagship_bounds["cv_growth"]
+    b = flagship.bounds["cv_growth"]
     fraction = (b["checked"] - b["beyond_tolerance"]) / b["checked"]
     ok = (fraction >= 0.99 and b["pass"]
           and b["raw_violations"] == 932

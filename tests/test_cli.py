@@ -177,6 +177,25 @@ def test_verify_bounds_noisy(tmp_path, capsys):
     assert "pass: False" not in report
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the abort reports
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_aborted_run_names_its_step(tmp_path, capsys, command):
+    cfg = write(tmp_path / "overflow.yaml", "\n".join([
+        "kernel: {family: lognormal, alpha: 1.0e+60, beta: 0.0, gamma_disp: 0.2}",
+        "population:",
+        "  n_agents: 1000",
+        "  steps: 10",
+        "  initial: {kind: lognormal, mean: 1.0, cv: 1.0}",
+        "master_seed: 42",
+    ]) + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    message = "simulation aborted at step 6: population contains non-finite wealth\n"
+    err = capsys.readouterr().err
+    assert err == (message if command == "simulate" else "error: " + message)
+    if command == "simulate":  # the rows of steps 0-5 stay on disk
+        assert len((tmp_path / "out").read_text().splitlines()) == 7
+
+
 def test_verify_integrals_needs_density(tmp_path, capsys):
     cfg = det_config(tmp_path)
     assert cli.main(["verify-integrals", "--config", cfg]) == 1

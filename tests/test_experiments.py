@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ginisim import metrics
 from ginisim.config import ConfigError, InitialSpec, RunConfig, SearchSpec, parse_config
 from ginisim.dynamics import run
 from ginisim.experiments import (
@@ -21,6 +22,7 @@ from ginisim.experiments import (
     verify_bounds,
 )
 from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
+from ginisim.metrics import gini_influence
 from ginisim.verification import format_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -145,9 +147,9 @@ def test_search_on_shipped_config():
         result.c_star / result.reference_scale)
 
 
-# Two small runs with consecutive gini_growth dips; their reports were
-# recorded before verify_bounds became a fold over run rows.  "fail"
-# exits 1: cv_growth has 4 of 300 steps beyond tolerance (budget 3).
+# Two small runs with consecutive gini_growth dips, so the Gini influence
+# carried from one dip to the next is priced too.  "fail" exits 1:
+# cv_growth has 4 of 300 steps beyond tolerance (budget 3).
 GOLDEN_CONFIGS = {
     "pass": RunConfig(
         kernel=KernelSpec(LOGNORMAL, alpha=1.02, beta=0.5, gamma_disp=0.25),
@@ -161,7 +163,36 @@ GOLDEN_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_verify_bounds_report_is_pinned(name):
-    sections, failures = verify_bounds(GOLDEN_CONFIGS[name])
+    config = GOLDEN_CONFIGS[name]
+    sections, failures = verify_bounds(config, run(config))
     text = "\n".join([format_report(sections), *failures]) + "\n"
     assert text == (GOLDEN / f"verify_bounds_{name}.txt").read_text(encoding="utf-8")
     assert bool(failures) == (name == "fail")
+
+
+def test_each_population_gini_influence_is_computed_once(monkeypatch):
+    config = GOLDEN_CONFIGS["pass"]
+    dips = {snap.t for _, snap, records, _ in run(config)
+            for r in records if r.name == "gini_growth" and r.satisfied is False}
+    # a dip at t prices the populations t - 1 and t; a run of dips shares them
+    populations = dips | {t - 1 for t in dips}
+    calls = []
+
+    def counted(wealth):
+        calls.append(1)
+        return gini_influence(wealth)
+
+    monkeypatch.setattr(metrics, "gini_influence", counted)
+    sections, _ = verify_bounds(config, run(config))
+    assert dict(sections)["gini_growth"]["raw_violations"] == len(dips)
+    assert len(calls) == len(populations) < 2 * len(dips)
+
+
+@pytest.mark.parametrize("shift", [400, -400])
+def test_verify_bounds_is_free_of_the_wealth_scale(shift):
+    # beta = 0 keeps every state an exact power-of-two multiple of the
+    # unit-start run, so the whole report must match bit for bit
+    unit = dataclasses.replace(GOLDEN_CONFIGS["fail"], steps=200)
+    scaled = dataclasses.replace(
+        unit, initial=InitialSpec("point", {"value": 2.0**shift}))
+    assert verify_bounds(scaled, run(scaled)) == verify_bounds(unit, run(unit))

@@ -205,15 +205,27 @@ def test_delta_se_matches_monte_carlo_sd_of_the_gap():
     assert 0.8 <= se / d.std(ddof=1) <= 1.2
 
 
-@pytest.mark.parametrize("shift", [600, -600])
+@pytest.mark.parametrize("shift", [345, -345, 400, -400, 440, -440, 600, -600])
 def test_paired_se_invariant_under_extreme_binary_scaling(shift):
-    # squares of the scaled wealth over- or underflow without the shared rescale
+    # squares of the scaled wealth, or the cube of its mean, over- or
+    # underflow without the shared rescale
     rng = np.random.default_rng(5)
     prev = rng.lognormal(0.0, 0.5, size=400)
     nxt = prev * rng.lognormal(-0.02, 0.2, size=400)
     big_prev, big_nxt = np.ldexp(prev, shift), np.ldexp(nxt, shift)
     assert (metrics.cv_recursion_delta_se(big_prev, big_nxt, 1.0, math.ldexp(0.5, shift), 0.2)
             == metrics.cv_recursion_delta_se(prev, nxt, 1.0, 0.5, 0.2))
+
+
+def test_cv_squared_influence_exact_for_concentrated_wealth_near_the_band():
+    # one agent holds 99.6% of the wealth, so mu ~ max/2^12: with the
+    # largest value near 2^-330 the cube of mu leaves the normal range
+    # unless the band allows for the mean sitting below the maximum
+    x = np.ones(4000)
+    x[0] = 2.0**20
+    scaled = np.ldexp(x, -351)
+    assert np.array_equal(metrics.cv_squared_influence(scaled),
+                          metrics.cv_squared_influence(x))
 
 
 def test_paired_se_requires_equal_sizes():
