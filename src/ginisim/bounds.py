@@ -49,9 +49,9 @@ class BoundParams:
         positive prefactor 1 - 2*kappa.
     delta_stripe: half-width of the near-diagonal stripe |x - y| < delta*x.
     gamma_inv_logderiv: the kernel's inverse log-derivative constant Gamma,
-        positive and finite.  verify-integrals calibrates it; the per-step
-        records take it from the configuration.  The stripe slack is not a
-        parameter: epsilon = delta/Gamma is derived where it is used.
+        positive and finite: calibrated from the kernel for every command
+        unless a config overrides it (``RunConfig.bound_params``).  The
+        stripe slack is derived where it is used: epsilon = delta/Gamma.
     """
 
     kappa: float = 0.25

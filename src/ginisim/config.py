@@ -15,6 +15,7 @@ import yaml
 from .bounds import BoundParams
 from .dynamics import GrowthPolicy, make_initial
 from .kernels import KernelSpec
+from .verification import calibrate_log_derivative_bound
 
 
 class ConfigError(ValueError):
@@ -62,7 +63,7 @@ class RunConfig:
     kappas: tuple[float, ...] = (0.1, 0.25)
     kappa: float = 0.25
     delta_stripe: float = 0.05
-    gamma_logderiv: float | str = "dispersion"
+    gamma_logderiv: float | None = None
     trajectory_out: str | None = None
     final_population_out: str | None = None
     snapshot_step: int = 30
@@ -73,22 +74,16 @@ class RunConfig:
     x_diagonal: tuple[float, ...] = (1.0, 10.0, 100.0)
     search: SearchSpec | None = None
 
-    def gamma_inv_logderiv(self) -> float:
-        """The inverse log-derivative constant used by the tail bounds.
-
-        'dispersion' identifies it with the kernel's gamma_disp (the
-        conventional overloading); a number is taken verbatim.
-        """
-        if self.gamma_logderiv == "dispersion":
-            return self.kernel.gamma_disp
-        return float(self.gamma_logderiv)
-
     def bound_params(self) -> BoundParams:
-        return BoundParams(
-            kappa=self.kappa,
-            delta_stripe=self.delta_stripe,
-            gamma_inv_logderiv=self.gamma_inv_logderiv(),
-        )
+        """The bound family's parameters: Gamma is ``gamma_logderiv`` or, if unset, calibrated."""
+        gamma = self.gamma_logderiv
+        if gamma is None:
+            if not self.kernel.has_density:
+                raise ConfigError("bounds.gamma_logderiv: required for a deterministic "
+                                  "kernel, which has no density to calibrate")
+            gamma = calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed).gamma_inv
+        return BoundParams(kappa=self.kappa, delta_stripe=self.delta_stripe,
+                           gamma_inv_logderiv=gamma)
 
     def build_policy(self) -> GrowthPolicy:
         if self.mode == "linear":
@@ -295,11 +290,9 @@ def load_config(data: dict) -> RunConfig:
         if "delta_stripe" in bnd:
             kwargs["delta_stripe"] = _to_float(bnd["delta_stripe"], "bounds.delta_stripe")
         if "gamma_logderiv" in bnd:
-            g = bnd["gamma_logderiv"]
-            if g != "dispersion":
-                g = _to_float(g, "bounds.gamma_logderiv")
-                if not 0.0 < g < math.inf:  # an infinite Gamma passes every gate
-                    _fail("bounds.gamma_logderiv", "must be positive and finite, or 'dispersion'")
+            g = _to_float(bnd["gamma_logderiv"], "bounds.gamma_logderiv")
+            if not 0.0 < g < math.inf:  # an infinite Gamma passes every gate
+                _fail("bounds.gamma_logderiv", "must be positive and finite")
             kwargs["gamma_logderiv"] = g
 
     if "output" in data:
@@ -338,9 +331,11 @@ def load_config(data: dict) -> RunConfig:
     if "search" in data:
         kwargs["search"] = _parse_search(data["search"], "search")
 
-    try:
-        cfg = RunConfig(**kwargs)
-        cfg.bound_params()  # validates kappa, delta_stripe, gamma
+    cfg = RunConfig(**kwargs)
+    try:  # Gamma is calibrated where a run uses it; without a density it must be set
+        BoundParams(kappa=cfg.kappa, delta_stripe=cfg.delta_stripe)
+        if not kernel.has_density:
+            cfg.bound_params()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

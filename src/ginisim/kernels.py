@@ -277,9 +277,9 @@ def _halley(a: float, x: np.ndarray, target: np.ndarray, cdf, sign: float) -> np
 def _gamma_quantile(shape: float, u) -> np.ndarray:
     """The gamma(shape, 1) quantile of each u in (0, 1), without ``gammaincinv``.
 
-    A Temme start (DiDonato-Morris below shape 1) refined by Halley steps
-    on the regularised incomplete gamma function: P against u in the lower
-    part, Q against q = 1 - u above it, which is exact for u >= 1/2
+    A Temme start (DiDonato-Morris below shape 1), refined up to shape 1e5
+    by Halley steps on the regularised incomplete gamma function: P against
+    u in the lower part, Q against q = 1 - u above it, exact for u >= 1/2
     (Sterbenz), so the upper tail keeps its relative accuracy.  At shape
     26 one P or Q evaluation per draw suffices.  Below shape 1, P also
     covers the upper part up to x = 1: there scipy's Q costs 3-7 us a call
@@ -297,10 +297,11 @@ def _gamma_quantile(shape: float, u) -> np.ndarray:
     else:
         x = _temme_start(a, p)
         split = 0.5
-    low = np.flatnonzero(p <= split)  # index arrays: a random boolean mask gathers 8x slower
-    high = np.flatnonzero(p > split)
-    x[low] = _halley(a, x[low], p[low], sp.gammainc, 1.0)
-    x[high] = _halley(a, x[high], 1.0 - p[high], sp.gammaincc, -1.0)
+    if a <= 1e5:  # above, Temme's start is exact and Halley steps chase gammainc's drift
+        low = np.flatnonzero(p <= split)  # index arrays: a random boolean mask gathers 8x slower
+        high = np.flatnonzero(p > split)
+        x[low] = _halley(a, x[low], p[low], sp.gammainc, 1.0)
+        x[high] = _halley(a, x[high], 1.0 - p[high], sp.gammaincc, -1.0)
     x = x.reshape(u.shape)
     return x if x.ndim else x[()]
 

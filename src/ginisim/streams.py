@@ -34,8 +34,8 @@ TAG_INIT = 1         # dynamics: random initial conditions, sequence 0
 TAG_PROBE = 2        # verification: the pair-integral Monte Carlo
                      # oracle; verify-bounds: its leak estimate, always
                      # at seed 0, sequence 0
-TAG_CALIBRATION = 3  # calibration: sequence 0 transitions, 1 input mass,
-                     # 2 output mass
+TAG_CALIBRATION = 3  # Gamma's calibration, for every run and verify-integrals:
+                     # sequence 0 transitions, 1 input mass, 2 output mass
 TAG_PAIRS = 4        # ensemble gap: pair indices i (0) and j (1)
 TAG_TRIALS = 5       # extremal minimality: sequence i for trial i
 

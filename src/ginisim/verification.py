@@ -231,6 +231,8 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
         if probe.size < n // 2:
             raise ValueError("too many undefined probes; cannot calibrate")
         out[which] = float(np.quantile(np.abs(probe), _TARGET_MASS))
+    if not max(out.values()) > 0.0:  # every draw landed on the mode, where probes vanish
+        raise ValueError("cannot calibrate Gamma: the kernel's noise is below float resolution")
     u_in = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 1, n)
     u_out = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 2, n)
     mass_in = high_probability_mass(kernel, x, out["input"], u_in, which="input")

@@ -291,3 +291,13 @@ def test_12_thread_count_determinism(tmp_path_factory):
     ok = blobs[0] == blobs[1] == blobs[2]
     assert check(12, "thread count never changes output", ok,
                  f"1/4/8 threads, {len(blobs[0])} byte trajectory")
+
+
+def test_13_calibrated_gamma_hypothesis_leak(flagship):
+    # Gamma is calibrated from the kernel, so the log-derivative hypotheses
+    # hold on all but ~1% of the transition mass by construction
+    leak = flagship.bounds["hypothesis_leak"]
+    ok = leak["mass_outside_bound"] < 0.01
+    assert check(13, "calibrated Gamma leaks under 1% of the mass", ok,
+                 f"Gamma {leak['inverse_logderiv_constant']:.4g}, "
+                 f"mass outside {leak['mass_outside_bound']:.5g}")

@@ -180,14 +180,21 @@ def test_verify_bounds_noisy(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the abort reports
 @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
 def test_aborted_run_names_its_step(tmp_path, capsys, command):
-    cfg = write(tmp_path / "overflow.yaml", "\n".join([
+    lines = [
         "kernel: {family: lognormal, alpha: 1.0e+60, beta: 0.0, gamma_disp: 0.2}",
         "population:",
         "  n_agents: 1000",
         "  steps: 10",
         "  initial: {kind: lognormal, mean: 1.0, cv: 1.0}",
         "master_seed: 42",
-    ]) + "\n")
+    ]
+    # relative noise 2e-61 is below float resolution: Gamma cannot be
+    # calibrated, so the run stops before step 0 unless the config sets it
+    cfg = write(tmp_path / "spike.yaml", "\n".join(lines) + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "cannot calibrate Gamma" in capsys.readouterr().err
+    cfg = write(tmp_path / "overflow.yaml",
+                "\n".join([*lines, "bounds: {gamma_logderiv: 1.0}"]) + "\n")
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     message = "simulation aborted at step 6: population contains non-finite wealth\n"
     err = capsys.readouterr().err
@@ -282,6 +289,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         path = write(tmp_path / "bad.yaml", noisy.replace(old, new))
         assert cli.main(["verify-bounds", "--config", path]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+    # a deterministic kernel has no density to calibrate Gamma from
+    det = Path(det_config(tmp_path)).read_text().replace("bounds: {gamma_logderiv: 1.0}\n", "")
+    path = write(tmp_path / "det_no_gamma.yaml", det)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+    assert ("config error: bounds.gamma_logderiv: required for a deterministic kernel"
+            in capsys.readouterr().err)
     for seed in (str(2**64), "-1"):
         assert cli.main(["simulate", "--config", noisy_config(tmp_path), "--seed", seed,
                          "--out", str(tmp_path / "t.csv")]) == 2

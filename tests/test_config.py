@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ginisim.config import ConfigError, load_config, parse_config
-from ginisim.kernels import LOGNORMAL, KernelSpec
+from ginisim import config as config_module
+from ginisim.config import ConfigError, RunConfig, load_config, parse_config
+from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
+from ginisim.verification import verify_integrals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,7 +31,7 @@ def test_defaults():
     assert cfg.initial.kind == "point" and cfg.initial.params == {}
     assert cfg.kappas == (0.1, 0.25)
     assert cfg.kappa == 0.25 and cfg.delta_stripe == 0.05
-    assert cfg.gamma_logderiv == "dispersion"
+    assert cfg.gamma_logderiv is None  # Gamma is calibrated where it is used
     assert cfg.trajectory_out is None and cfg.final_population_out is None
     assert cfg.snapshot_step == 30 and cfg.n_pairs == 2000 and cfg.n_trials == 6
     assert cfg.a_values == (0.5, 1.0, 10.0)
@@ -38,22 +40,57 @@ def test_defaults():
     assert cfg.search is None
 
 
-def test_gamma_inv_logderiv_overloading():
-    cfg = load_config(base())
-    assert cfg.gamma_inv_logderiv() == 0.2  # borrowed from the kernel
+def counted_calibrations(monkeypatch) -> list:
+    calls = []
+    calibrate = config_module.calibrate_log_derivative_bound
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(config_module, "calibrate_log_derivative_bound", counted)
+    return calls
+
+
+def test_gamma_logderiv_overrides_the_calibration(monkeypatch):
+    calls = counted_calibrations(monkeypatch)
     cfg = load_config(base(bounds={"gamma_logderiv": 5.0}))
-    assert cfg.gamma_inv_logderiv() == 5.0
+    assert cfg.gamma_logderiv == 5.0
     assert cfg.bound_params().gamma_inv_logderiv == 5.0
+    assert not calls
+
+
+def test_calibrated_gamma_has_one_source(monkeypatch):
+    data = base(integrals={"snapshot_step": 2, "n_pairs": 50, "n_trials": 1,
+                           "a_values": [1.0], "delta_values": [0.01],
+                           "x_diagonal": [1.0]})
+    calls = counted_calibrations(monkeypatch)
+    parse_config(str(CONFIGS / "flagship.yaml"))
+    cfg = load_config(data)
+    assert not calls  # parsing never calibrates
+    for seed in (0, 5):
+        cfg_at = cfg.with_overrides(seed=seed)
+        gamma = cfg_at.bound_params().gamma_inv_logderiv
+        assert calls[-1] == (cfg.kernel, 1.0, seed)
+        calibration = dict(verify_integrals(cfg_at))["calibration"]
+        assert gamma == calibration["gamma_inv"]
+    assert cfg.with_overrides(seed=5).bound_params() != cfg.bound_params()
 
 
 def test_dispersion_free_kernel_needs_explicit_logderiv():
     data = base()
     data["kernel"] = {"family": "deterministic", "alpha": 1.02, "beta": 0.5,
                       "gamma_disp": 0.0}
-    with pytest.raises(ConfigError, match="gamma_inv_logderiv"):
+    with pytest.raises(ConfigError, match=r"^bounds\.gamma_logderiv: required for a "
+                       "deterministic kernel, which has no density to calibrate$"):
         load_config(data)
     data["bounds"] = {"gamma_logderiv": 1.0}
-    assert load_config(data).gamma_inv_logderiv() == 1.0
+    assert load_config(data).bound_params().gamma_inv_logderiv == 1.0
+    # a RunConfig built without the loader names the same field
+    direct = RunConfig(kernel=KernelSpec(DETERMINISTIC, alpha=1.02, beta=0.5, gamma_disp=0.0),
+                       n_agents=10, steps=3)
+    with pytest.raises(ConfigError, match=r"^bounds\.gamma_logderiv: required"):
+        direct.bound_params()
 
 
 def test_top_level_structure_errors():
@@ -181,7 +218,7 @@ def test_bounds_parsing():
         load_config(base(bounds={"kappa_grid": [0.0, 0.25]}))
     with pytest.raises(ConfigError, match="kappa must be in"):
         load_config(base(bounds={"kappa": 0.6}))
-    with pytest.raises(ConfigError, match="must be positive and finite, or 'dispersion'"):
+    with pytest.raises(ConfigError, match=r"^bounds\.gamma_logderiv: must be positive and finite$"):
         load_config(base(bounds={"gamma_logderiv": -1.0}))
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(base(bounds={"gamma": 1.0}))

@@ -288,6 +288,30 @@ def test_gamma_quantile_within_1e_13_of_gammaincinv(gate_uniforms, rel_sd):
     assert rel.max() <= 1e-13, (rel_sd, float(rel.max()), float(gate_uniforms[rel.argmax()]))
 
 
+@pytest.mark.parametrize("shape", [1e5, 1e6, 8447622.0])
+def test_gamma_quantile_at_large_shapes_against_mpmath(shape):
+    # scipy's gammainc drifts at these shapes, so gammaincinv cannot judge;
+    # the reference is Newton on mpmath's P (its 1F1 series, u <= 1/2) or
+    # Q (above) at 40 digits
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpf(shape)
+        log_gamma_a = mp.loggamma(a)
+        for u in (1e-6, 0.3, 0.9):
+            x = _gamma_quantile(shape, np.array([u]))[0]
+            root = mp.mpf(x)
+            for _ in range(4):
+                if u <= 0.5:
+                    gap = (mp.exp(a * mp.log(root) - root - mp.loggamma(a + 1))
+                           * mp.hyp1f1(1, a + 1, root, maxterms=10**6) - u)
+                else:
+                    gap = (1 - mp.mpf(u)) - mp.gammainc(a, root, mp.inf, regularized=True)
+                root -= gap / mp.exp((a - 1) * mp.log(root) - root - log_gamma_a)
+            rel = float(abs(mp.mpf(x) - root) / root)
+            assert rel <= 1e-13, (shape, u, rel)
+
+
 @pytest.mark.parametrize("rel_sd", [0.005, 3.0])
 def test_gamma_quantile_outside_the_gate_is_finite_and_monotone(gate_uniforms, rel_sd):
     u = np.sort(gate_uniforms)

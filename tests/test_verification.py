@@ -180,6 +180,10 @@ def test_calibration_structure():
         1.0 / max(cal.delta_logx, cal.delta_logxp))
     assert cal.mass_within_logx == pytest.approx(0.99, abs=0.015)
     assert cal.mass_within_logxp == pytest.approx(0.99, abs=0.015)
+    # relative noise 2e-61: every draw is alpha * x, where the probes vanish
+    spike = KernelSpec(LOGNORMAL, alpha=1e60, beta=0.0, gamma_disp=0.2)
+    with pytest.raises(ValueError, match="noise is below float resolution"):
+        calibrate_log_derivative_bound(spike, x=1.0)
 
 
 def test_density_on_ray_validation():
