@@ -1,9 +1,11 @@
 """Quadrature toolkit: pair integrals, stripe functional, density checks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import integrate
 from scipy import special as sp
 from scipy.special import cython_special, ndtri
@@ -33,6 +35,7 @@ from ginisim.verification import (
     verify_integrals,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 LN = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2)
 SQRT_PI = math.sqrt(math.pi)
 
@@ -408,3 +411,14 @@ def test_pushforward_error_paths():
 def test_format_report():
     text = format_report([("alpha", {"x": 1.5, "n": 3, "s": "ok"})])
     assert text == "[alpha]\nx: 1.5\nn: 3\ns: ok\n"
+
+
+@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
+def test_verify_integrals_report_is_pinned(family):
+    # the shipped integrals config and its gamma variant; the golden files
+    # are the `ginisim verify-integrals` stdout, which prints one more newline
+    data = yaml.safe_load((ROOT / "configs" / "integrals.yaml").read_text(encoding="utf-8"))
+    data["kernel"]["family"] = family
+    text = format_report(verify_integrals(load_config(data))) + "\n"
+    golden = ROOT / "tests" / "golden" / f"verify_integrals_{family}.txt"
+    assert text == golden.read_text(encoding="utf-8")
