@@ -156,7 +156,7 @@ def gini_growth_lower_bound(gini: float, beta: float, mu: float, mu_next: float,
     """
     if not mu_next > 0.0:
         raise ValueError("mu_next must be positive")
-    grow = params.delta_stripe * params.kappa * mu * params.gamma_inv_logderiv * tail_prob**2
+    grow = redistribution_variability_lower_bound(params, mu, tail_prob)
     return (-beta * gini + grow) / mu_next
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import metrics
 from .config import ConfigError, parse_config
@@ -81,17 +82,19 @@ def _row(snap, records) -> str:
 def cmd_simulate(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, args.out)
     out_path = config.trajectory_out or "trajectory.csv"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        try:
-            for pop, snap, records, _ in run(config):
-                if snap.t == 0:
-                    fh.write(_header(sorted(snap.tail_probs),
-                                     [r.name for r in records]) + "\n")
+    rows = run(config)
+    try:
+        # open (and truncate) --out only once the run has a row, so a run
+        # that fails before step 0 leaves an existing file as it was
+        pop, snap, records, _ = next(rows)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(_header(sorted(snap.tail_probs), [r.name for r in records]) + "\n")
+            fh.write(_row(snap, records) + "\n")
+            for pop, snap, records, _ in rows:
                 fh.write(_row(snap, records) + "\n")
-        except ValueError as exc:  # run names the step; partial rows stay on disk
-            fh.flush()
-            print(exc, file=sys.stderr)
-            return 1
+    except ValueError as exc:  # run names the step; partial rows stay on disk
+        print(exc, file=sys.stderr)
+        return 1
     if config.final_population_out:
         with open(config.final_population_out, "w", encoding="utf-8") as fh:
             # one write per chunk: a single join of all N lines costs ~100 B
@@ -121,6 +124,8 @@ def _print_report(sections, out_path) -> None:
 
 def cmd_verify_bounds(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, None)
+    # calibrate Gamma once: the run and its gates both read bound_params()
+    config = replace(config, gamma_logderiv=config.bound_params().gamma_inv_logderiv)
     sections, failures = verify_bounds(config, run(config))
     _print_report(sections, args.out)
     if failures:

@@ -81,7 +81,7 @@ class RunConfig:
             if not self.kernel.has_density:
                 raise ConfigError("bounds.gamma_logderiv: required for a deterministic "
                                   "kernel, which has no density to calibrate")
-            gamma = calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed).gamma_inv
+            gamma = calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed)["gamma_inv"]
         return BoundParams(kappa=self.kappa, delta_stripe=self.delta_stripe,
                            gamma_inv_logderiv=gamma)
 

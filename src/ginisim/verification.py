@@ -9,6 +9,11 @@ bound from the kernel to the next-step population density.  Each gets a
 direct numerical check here; nothing is taken from the derivations on
 trust.
 
+Each check returns its own section of the verify-integrals report: an
+ordered dict of the printed keys, ending in ``pass`` where the section is
+gated.  `verify_integrals` lists the sections in report order and
+`format_report` prints them; no other result type exists.
+
 Quadrature policy: 1-D adaptive integration with the inner integral of
 F done in closed form (upper partial moments of the noise law), domains
 truncated where the integrand's law puts less than ~1e-13 of its mass.
@@ -27,7 +32,6 @@ form runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -150,76 +154,40 @@ def pair_split_monte_carlo(kernel: KernelSpec, x: float, y: float, n_pairs: int,
 # --- diagonal bound and calibration -------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalRecord:
-    x: float
-    f_diag: float
-    slack_vs_mean_scaled: float  # F(x,x) - Gamma*(alpha*x+beta)/2
-    slack_vs_x: float            # F(x,x) - Gamma*x/2
-
-
-@dataclass(frozen=True)
-class DiagonalBoundReport:
-    gamma_claimed: float
-    records: list[DiagonalRecord]
-
-    @property
-    def satisfied(self) -> bool:
-        return all(
-            r.slack_vs_mean_scaled >= -_QUAD_TOL and r.slack_vs_x >= -_QUAD_TOL
-            for r in self.records
-        )
-
-
-def diagonal_bound_check(kernel: KernelSpec, x_grid,
-                         gamma_claimed: float) -> DiagonalBoundReport:
+def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float) -> dict:
     """Check F(x,x) >= Gamma*(alpha*x+beta)/2 and >= Gamma*x/2 on a grid.
 
     ``gamma_claimed`` is the inverse log-derivative constant the kernel
     claims; calibrate it first (see calibrate_log_derivative_bound) if
-    you have no external claim.
+    you have no external claim.  Returns the ``diagonal_bound`` section:
+    F(x,x) and both slacks per grid point, which pass down to -quad_tol.
     """
-    records = []
+    section = {"gamma_claimed": gamma_claimed, "quad_tol": _QUAD_TOL}
+    ok = True
     for x in x_grid:
         x = float(x)
         f = pair_split_integral(kernel, x, x)
-        mean_scaled = gamma_claimed * (kernel.alpha * x + kernel.beta) / 2.0
-        records.append(DiagonalRecord(
-            x=x,
-            f_diag=f,
-            slack_vs_mean_scaled=f - mean_scaled,
-            slack_vs_x=f - gamma_claimed * x / 2.0,
-        ))
-    return DiagonalBoundReport(gamma_claimed, records)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Measured log-derivative bounds at a target high-probability mass.
-
-    The input and output constants usually differ; the reciprocal of the
-    larger one is the conservative inverse constant for the bound chain.
-    Both are reported side by side rather than silently merged.
-    """
-
-    delta_logx: float
-    delta_logxp: float
-    mass_within_logx: float
-    mass_within_logxp: float
-
-    @property
-    def gamma_inv(self) -> float:
-        return 1.0 / max(self.delta_logx, self.delta_logxp)
+        slack_mean_scaled = f - gamma_claimed * (kernel.alpha * x + kernel.beta) / 2.0
+        slack_x = f - gamma_claimed * x / 2.0
+        section[f"f_diag[x={x:g}]"] = f
+        section[f"slack_mean_scaled[x={x:g}]"] = slack_mean_scaled
+        section[f"slack_x[x={x:g}]"] = slack_x
+        ok = ok and slack_mean_scaled >= -_QUAD_TOL and slack_x >= -_QUAD_TOL
+    section["pass"] = ok
+    return section
 
 
 def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
-                                   master_seed: int = 0) -> CalibrationResult:
+                                   master_seed: int = 0) -> dict:
     """Measure the kernel's log-derivative bounds as sample quantiles.
 
     Draws transitions, probes |d log f / d log (x or x')| at each, and
-    returns the 0.99 quantile of each probe's magnitude, so that the
+    takes the 0.99 quantile of each probe's magnitude, so that the
     high_probability_mass of each bound is ~0.99 by construction; that
-    mass is then measured on fresh draws.
+    mass is then measured on fresh draws.  Returns the ``calibration``
+    section.  The input and output constants usually differ and are
+    reported side by side; ``gamma_inv``, the reciprocal of the larger,
+    is the conservative inverse constant for the bound chain.
     """
     n = _CALIBRATION_SAMPLES
     u = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 0, n)
@@ -235,14 +203,16 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
         raise ValueError("cannot calibrate Gamma: the kernel's noise is below float resolution")
     u_in = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 1, n)
     u_out = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 2, n)
-    mass_in = high_probability_mass(kernel, x, out["input"], u_in, which="input")
-    mass_out = high_probability_mass(kernel, x, out["output"], u_out, which="output")
-    return CalibrationResult(
-        delta_logx=out["input"],
-        delta_logxp=out["output"],
-        mass_within_logx=mass_in.mass,
-        mass_within_logxp=mass_out.mass,
-    )
+    return {
+        "target_mass": _TARGET_MASS,
+        "delta_logx": out["input"],
+        "delta_logxp": out["output"],
+        "gamma_inv": 1.0 / max(out["input"], out["output"]),
+        "mass_within_logx": high_probability_mass(kernel, x, out["input"], u_in,
+                                                  which="input").mass,
+        "mass_within_logxp": high_probability_mass(kernel, x, out["output"], u_out,
+                                                   which="output").mass,
+    }
 
 
 # --- stripe functional and extremal density ------------------------------
@@ -355,36 +325,6 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
 # --- extremal minimality -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    label: str
-    claimed_logderiv: float
-    measured_logderiv: float
-    y_value: float
-    ratio_to_extremal: float
-    window_identity_ok: bool
-    excluded: bool
-    passed: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    a: float
-    delta: float
-    y_extremal_clipped: float
-    y_extremal_closed_form: float
-    trials: list[TrialResult] = field(default_factory=list)
-
-    @property
-    def n_excluded(self) -> int:
-        return sum(t.excluded for t in self.trials)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(t.passed for t in self.trials if not t.excluded)
-
-
 def truncated_pareto(a: float, c: float) -> DensityOnRay:
     """p(y) = c*a^c / y^(1+c) on (a, inf); log-derivative magnitude 1 + c."""
     if not c > 0.0:
@@ -457,14 +397,15 @@ def random_trial_densities(a: float, n_trials: int,
 
 
 def extremal_minimality_check(a: float, delta: float,
-                              trial_densities: list[DensityOnRay]) -> MinimalityReport:
+                              trial_densities: list[DensityOnRay]) -> dict:
     """Verify the extremal density minimizes the stripe functional.
 
     Each trial density p must respect the log-derivative cap 1/delta;
     trials violating their measured cap are excluded and counted, not
     failed.  For the rest the check asserts Y[p] >= Y[h] * (1 - 5*delta)
     and the window identity window_mass ~= 2*delta*x*p(x) within the
-    derivative-bound factor.
+    derivative-bound factor.  Returns the ``extremal_minimality``
+    section, one ``trial[label]`` line per trial.
     """
     if not 0.0 < delta <= 0.05:
         raise ValueError("minimality check calibrated for delta <= 0.05")
@@ -472,51 +413,33 @@ def extremal_minimality_check(a: float, delta: float,
 
     y_closed = extremal_closed_form(a, delta)
     h = DensityOnRay.extremal(a)
-    y_clipped = stripe_pair_functional(h, a, delta, clip_lower=True, check_norm=False)
-
+    section = {
+        "a": a, "delta": delta,
+        "slack_constant": _SLACK_CONSTANT,
+        "y_extremal_closed_form": y_closed,
+        "y_extremal_clipped": stripe_pair_functional(h, a, delta, clip_lower=True,
+                                                     check_norm=False),
+        "n_trials": len(trial_densities),
+        "n_excluded": 0,
+    }
     threshold = y_closed * (1.0 - _SLACK_CONSTANT * delta)
-    trials = []
+    ok = True
     for p in trial_densities:
         measured = _measured_logderiv(p, delta)
         if measured > cap * (1.0 + 1e-3):
-            trials.append(TrialResult(p.label, cap, measured, math.nan, math.nan,
-                                      False, excluded=True, passed=False,
-                                      reason="log-derivative cap violated"))
-            continue
-        y_val = stripe_pair_functional(p, a, delta, clip_lower=True)
-        win_ok = _window_identity_ok(p, delta, measured)
-        passed = (y_val >= threshold) and win_ok
-        reason = "" if passed else (
-            "window identity failed" if not win_ok else "functional below threshold"
-        )
-        trials.append(TrialResult(p.label, cap, measured, y_val, y_val / y_closed,
-                                  win_ok, excluded=False, passed=passed, reason=reason))
-    return MinimalityReport(a, delta, y_clipped, y_closed, trials)
+            section["n_excluded"] += 1
+            y_val, status = math.nan, "excluded"
+        else:
+            y_val = stripe_pair_functional(p, a, delta, clip_lower=True)
+            passed = y_val >= threshold and _window_identity_ok(p, delta, measured)
+            status = "ok" if passed else "FAIL"
+            ok = ok and passed
+        section[f"trial[{p.label}]"] = f"y={y_val:.9g} ratio={y_val / y_closed:.6g} {status}"
+    section["pass"] = ok
+    return section
 
 
 # --- ensemble-level gap bound --------------------------------------------
-
-
-@dataclass(frozen=True)
-class GapBoundReport:
-    """Sampled mean pair integral vs the tail-probability lower bound."""
-
-    hypotheses_met: bool
-    n_pairs: int
-    n_excluded: int
-    lhs_mean: float
-    standard_error: float
-    rhs_bound: float
-    margin_se: float
-    mu: float
-    tail_prob: float
-    epsilon: float
-    message: str = ""
-
-    @property
-    def satisfied(self) -> bool:
-        """The bound holds by more than 3 standard errors of the mean."""
-        return self.hypotheses_met and self.margin_se > 3.0
 
 
 def ensemble_gap_bound_check(
@@ -525,14 +448,17 @@ def ensemble_gap_bound_check(
     params: BoundParams,
     n_pairs: int = 2000,
     master_seed: int = 0,
-) -> GapBoundReport:
+) -> dict:
     """Check E[F(x,y)] >= delta*kappa*mu*Gamma*(1-eps)*P^2 on a snapshot.
 
     Gamma is the calibrated ``params.gamma_inv_logderiv`` and the stripe
     slack is derived from it, eps = min(delta/Gamma, 0.999).  Pairs are
     sampled with replacement from the ensemble; pairs with a zero-wealth
-    member or a failed quadrature are excluded and counted.  Raises
-    NoDensityError for a kernel without a transition density.
+    member or a failed quadrature are excluded and counted.  Returns the
+    ``ensemble_gap`` section: it passes when the sampled mean clears the
+    bound by more than 3 standard errors, and its sample statistics are
+    nan when fewer than max(16, n_pairs/2) pairs remain (hypotheses not
+    met).  Raises NoDensityError for a kernel without a transition density.
     """
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no density")
@@ -560,16 +486,20 @@ def ensemble_gap_bound_check(
             values.append(pair_split_integral(kernel, xi, yj))
         except QuadratureError:
             excluded += 1
-    if len(values) < max(16, n_pairs // 2):
-        return GapBoundReport(False, n_pairs, excluded, math.nan, math.nan, rhs,
-                              math.nan, mu, p_tail, eps,
-                              message="hypotheses not met: too many excluded pairs")
-    arr = np.asarray(values)
-    lhs = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    margin = (lhs - rhs) / se if se > 0.0 else math.inf
-    return GapBoundReport(True, n_pairs, excluded, lhs, se, rhs, margin, mu,
-                          p_tail, eps)
+    lhs = se = margin = math.nan
+    if len(values) >= max(16, n_pairs // 2):
+        arr = np.asarray(values)
+        lhs = float(arr.mean())
+        se = float(arr.std(ddof=1) / math.sqrt(arr.size))
+        margin = (lhs - rhs) / se if se > 0.0 else math.inf
+    return {
+        "snapshot_step": pop.t,
+        "n_pairs": n_pairs, "n_excluded": excluded,
+        "lhs_mean": lhs, "standard_error": se,
+        "rhs_bound": rhs, "margin_se": margin,
+        "epsilon": eps,
+        "pass": margin > 3.0,
+    }
 
 
 # --- pushforward regularity ----------------------------------------------
@@ -599,26 +529,13 @@ def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
-    max_abs_logderiv_core: float
-    claimed_bound: float
-    grid_lo: float
-    grid_hi: float
-    n_excluded_agents: int
-
-    @property
-    def satisfied(self) -> bool:
-        return self.max_abs_logderiv_core <= self.claimed_bound
-
-
 def pushforward_log_derivative_check(
     pop_prev: PopulationState,
     kernel: KernelSpec,
     x_grid,
     claimed_bound: float,
     tol: float = 0.05,
-) -> PushforwardReport:
+) -> dict:
     """Bound the log-derivative of the next-step population density.
 
     Forms p(x) = mean_i f(x | wealth_i) on the grid, differentiates
@@ -630,9 +547,10 @@ def pushforward_log_derivative_check(
     pushforward, and on it the mixture
     log-derivative is a weighted average of component log-derivatives
     that are individually controlled.  Low-density valleys between
-    separated components are excluded by construction.  Raises if the
-    grid is too coarse to trust the derivative (stride-2 estimate must
-    agree within 10%).
+    separated components are excluded by construction.  Returns the
+    ``pushforward`` section, whose ``claimed_bound`` includes tol.
+    Raises if the grid is too coarse to trust the derivative (stride-2
+    estimate must agree within 10%).
     """
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no density")
@@ -646,7 +564,6 @@ def pushforward_log_derivative_check(
 
     prev = pop_prev.wealth
     positive = prev[prev > 0.0]
-    n_excluded = prev.size - positive.size
     if positive.size == 0:
         raise ValueError("no positive-wealth agents to push forward")
 
@@ -682,13 +599,9 @@ def pushforward_log_derivative_check(
             "double the grid resolution"
         )
     max_abs = float(np.max(np.abs(d[core])))
-    return PushforwardReport(
-        max_abs_logderiv_core=max_abs,
-        claimed_bound=claimed_bound + tol,
-        grid_lo=float(grid[0]),
-        grid_hi=float(grid[-1]),
-        n_excluded_agents=int(n_excluded),
-    )
+    bound = claimed_bound + tol
+    return {"max_abs_logderiv_core": max_abs, "claimed_bound": bound,
+            "core_mass": _CORE_MASS, "pass": max_abs <= bound}
 
 
 # --- the verify-integrals report -----------------------------------------
@@ -699,36 +612,24 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
 
     Returns the report sections in order: calibration, then five gated
     sections that each carry their own ``pass``, then ``overall``, whose
-    ``pass`` is their conjunction.  The ensemble gap and the pushforward
-    run on the population after ``snapshot_step`` steps of the config.
-    Raises NoDensityError for a kernel without a transition density.
+    ``pass`` is their conjunction.  Every section but the stripe-functional
+    grid and ``overall`` is what its check returns.  The ensemble gap and
+    the pushforward run on the population after ``snapshot_step`` steps of
+    the config.  Raises NoDensityError for a kernel without a transition
+    density.
     """
     kernel = config.kernel
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no transition density")
-    sections: list[tuple[str, dict]] = []
-
-    cal = calibrate_log_derivative_bound(kernel, x=1.0, master_seed=config.master_seed)
-    sections.append(("calibration", {
-        "target_mass": _TARGET_MASS,
-        "delta_logx": cal.delta_logx,
-        "delta_logxp": cal.delta_logxp,
-        "gamma_inv": cal.gamma_inv,
-        "mass_within_logx": cal.mass_within_logx,
-        "mass_within_logxp": cal.mass_within_logxp,
-    }))
-
-    diag = diagonal_bound_check(kernel, config.x_diagonal, cal.gamma_inv)
-    fields = {"gamma_claimed": diag.gamma_claimed, "quad_tol": _QUAD_TOL}
-    for rec in diag.records:
-        fields[f"f_diag[x={rec.x:g}]"] = rec.f_diag
-        fields[f"slack_mean_scaled[x={rec.x:g}]"] = rec.slack_vs_mean_scaled
-        fields[f"slack_x[x={rec.x:g}]"] = rec.slack_vs_x
-    fields["pass"] = diag.satisfied
-    sections.append(("diagonal_bound", fields))
+    seed = config.master_seed
+    cal = calibrate_log_derivative_bound(kernel, x=1.0, master_seed=seed)
+    sections = [
+        ("calibration", cal),
+        ("diagonal_bound", diagonal_bound_check(kernel, config.x_diagonal, cal["gamma_inv"])),
+    ]
 
     max_rel = 0.0
-    fields = {}
+    stripe = {}
     for a in config.a_values:
         for d in config.delta_values:
             quad_val = stripe_pair_functional(DensityOnRay.extremal(a), a, d,
@@ -736,62 +637,33 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
             closed = extremal_closed_form(a, d)
             rel = abs(quad_val - closed) / closed
             max_rel = max(max_rel, rel)
-            fields[f"rel_err[a={a:g},delta={d:g}]"] = rel
-    fields["max_rel_err"] = max_rel
-    fields["pass"] = max_rel <= 1e-9
-    sections.append(("stripe_functional", fields))
+            stripe[f"rel_err[a={a:g},delta={d:g}]"] = rel
+    stripe["max_rel_err"] = max_rel
+    stripe["pass"] = max_rel <= 1e-9
+    sections.append(("stripe_functional", stripe))
 
-    trials = random_trial_densities(1.0, config.n_trials, config.master_seed)
-    mini = extremal_minimality_check(a=1.0, delta=0.01, trial_densities=trials)
-    fields = {
-        "a": mini.a, "delta": mini.delta,
-        "slack_constant": _SLACK_CONSTANT,
-        "y_extremal_closed_form": mini.y_extremal_closed_form,
-        "y_extremal_clipped": mini.y_extremal_clipped,
-        "n_trials": len(mini.trials),
-        "n_excluded": mini.n_excluded,
-    }
-    for trial in mini.trials:
-        status = "excluded" if trial.excluded else ("ok" if trial.passed else "FAIL")
-        fields[f"trial[{trial.label}]"] = (
-            f"y={trial.y_value:.9g} ratio={trial.ratio_to_extremal:.6g} {status}"
-        )
-    fields["pass"] = mini.all_passed
-    sections.append(("extremal_minimality", fields))
+    trials = random_trial_densities(1.0, config.n_trials, seed)
+    sections.append(("extremal_minimality",
+                     extremal_minimality_check(a=1.0, delta=0.01, trial_densities=trials)))
 
-    seed = config.master_seed
     for pop in simulate(config.build_initial(seed), kernel, config.build_policy(),
                         config.snapshot_step, seed):
         pass
     gap_params = BoundParams(kappa=config.kappa, delta_stripe=config.delta_stripe,
-                             gamma_inv_logderiv=cal.gamma_inv)
-    gap = ensemble_gap_bound_check(pop, kernel, gap_params, n_pairs=config.n_pairs,
-                                   master_seed=seed)
-    sections.append(("ensemble_gap", {
-        "snapshot_step": config.snapshot_step,
-        "n_pairs": gap.n_pairs, "n_excluded": gap.n_excluded,
-        "lhs_mean": gap.lhs_mean, "standard_error": gap.standard_error,
-        "rhs_bound": gap.rhs_bound, "margin_se": gap.margin_se,
-        "epsilon": gap.epsilon,
-        "pass": gap.satisfied,
-    }))
+                             gamma_inv_logderiv=cal["gamma_inv"])
+    sections.append(("ensemble_gap", ensemble_gap_bound_check(
+        pop, kernel, gap_params, n_pairs=config.n_pairs, master_seed=seed)))
 
     sub = PopulationState(pop.wealth[:2048], pop.t)
     lo_q, hi_q = float(np.quantile(sub.wealth, 0.02)), float(np.quantile(sub.wealth, 0.98))
     lo = kernel.beta + 0.8 * max(kernel.alpha * lo_q - kernel.beta, 1e-9)
     hi = kernel.beta + 1.3 * (kernel.alpha * hi_q - kernel.beta)
-    push = pushforward_log_derivative_check(
-        sub, kernel, np.geomspace(lo, hi, 220), claimed_bound=cal.delta_logxp,
-        tol=0.1 * cal.delta_logxp)
-    sections.append(("pushforward", {
-        "max_abs_logderiv_core": push.max_abs_logderiv_core,
-        "claimed_bound": push.claimed_bound,
-        "core_mass": _CORE_MASS,
-        "pass": push.satisfied,
-    }))
+    sections.append(("pushforward", pushforward_log_derivative_check(
+        sub, kernel, np.geomspace(lo, hi, 220), claimed_bound=cal["delta_logxp"],
+        tol=0.1 * cal["delta_logxp"])))
 
-    sections.append(("overall", {"pass": all(fields["pass"] for _, fields in sections
-                                             if "pass" in fields)}))
+    sections.append(("overall", {"pass": all(section["pass"] for _, section in sections
+                                             if "pass" in section)}))
     return sections
 
 

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from ginisim import cli, metrics
+from ginisim import config as config_module
 from ginisim.config import parse_config
 from ginisim.verification import format_report, verify_integrals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write(path, text):
@@ -168,6 +170,30 @@ def test_verify_bounds_deterministic(tmp_path, capsys):
     assert "pass: False" not in report
 
 
+def test_verify_bounds_calibrates_gamma_once(tmp_path, capsys, monkeypatch):
+    # the "pass" run of the pinned verify-bounds reports (tests/test_experiments.py)
+    cfg = write(tmp_path / "pass.yaml", "\n".join([
+        "kernel: {family: lognormal, alpha: 1.02, beta: 0.5, gamma_disp: 0.25}",
+        "population:",
+        "  n_agents: 3000",
+        "  steps: 250",
+        "  initial: {kind: uniform, low: 0.5, high: 1.5}",
+        "master_seed: 7",
+    ]) + "\n")
+    calls = []
+    calibrate = config_module.calibrate_log_derivative_bound
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(config_module, "calibrate_log_derivative_bound", counted)
+    assert cli.main(["verify-bounds", "--config", cfg]) == 0
+    assert len(calls) == 1
+    golden = (GOLDEN / "verify_bounds_pass.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_verify_bounds_noisy(tmp_path, capsys):
     cfg = noisy_config(tmp_path)
     assert cli.main(["verify-bounds", "--config", cfg]) == 0
@@ -191,8 +217,10 @@ def test_aborted_run_names_its_step(tmp_path, capsys, command):
     # relative noise 2e-61 is below float resolution: Gamma cannot be
     # calibrated, so the run stops before step 0 unless the config sets it
     cfg = write(tmp_path / "spike.yaml", "\n".join(lines) + "\n")
-    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    old = write(tmp_path / "out", "old content\n")
+    assert cli.main([command, "--config", cfg, "--out", old]) == 1
     assert "cannot calibrate Gamma" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "old content\n"  # nothing was opened
     cfg = write(tmp_path / "overflow.yaml",
                 "\n".join([*lines, "bounds: {gamma_logderiv: 1.0}"]) + "\n")
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
