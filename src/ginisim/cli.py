@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import metrics
 from .config import ConfigError, parse_config
@@ -124,8 +123,6 @@ def _print_report(sections, out_path) -> None:
 
 def cmd_verify_bounds(args) -> int:
     config = parse_config(args.config).with_overrides(args.seed, None)
-    # calibrate Gamma once: the run and its gates both read bound_params()
-    config = replace(config, gamma_logderiv=config.bound_params().gamma_inv_logderiv)
     sections, failures = verify_bounds(config, run(config))
     _print_report(sections, args.out)
     if failures:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import yaml
 
@@ -75,15 +76,23 @@ class RunConfig:
     search: SearchSpec | None = None
 
     def bound_params(self) -> BoundParams:
-        """The bound family's parameters: Gamma is ``gamma_logderiv`` or, if unset, calibrated."""
+        """The bound family's parameters: Gamma is ``gamma_logderiv`` or, if unset, calibrated.
+
+        The calibration runs once per config object, so a run and the gates
+        that fold its rows read one Gamma.
+        """
         gamma = self.gamma_logderiv
         if gamma is None:
             if not self.kernel.has_density:
                 raise ConfigError("bounds.gamma_logderiv: required for a deterministic "
                                   "kernel, which has no density to calibrate")
-            gamma = calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed)["gamma_inv"]
+            gamma = self._calibrated_gamma
         return BoundParams(kappa=self.kappa, delta_stripe=self.delta_stripe,
                            gamma_inv_logderiv=gamma)
+
+    @cached_property
+    def _calibrated_gamma(self) -> float:
+        return calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed)["gamma_inv"]
 
     def build_policy(self) -> GrowthPolicy:
         if self.mode == "linear":

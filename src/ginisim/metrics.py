@@ -19,6 +19,7 @@ zero-tolerance comparison would be meaningless.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +76,20 @@ def _mean(x: np.ndarray, what: str):
     return mu
 
 
+@functools.lru_cache(maxsize=4)
+def _rank_weights(n: int) -> np.ndarray:
+    """2*rank - n - 1 for rank 1..n, read-only: one vector per population size."""
+    weights = np.arange(1 - n, n, 2, dtype=np.float64)
+    weights.flags.writeable = False
+    return weights
+
+
 def _gini_sorted(xs: np.ndarray, mu) -> float:
+    """Gini of the sorted vector ``xs``, which it overwrites with the weighted terms."""
     n = xs.size
-    weights = np.arange(1 - n, n, 2, dtype=np.float64)  # 2*rank - n - 1, rank 1..n
-    weights *= xs
+    xs *= _rank_weights(n)
     # np.sum adds pairwise; a BLAS dot would round differently
-    return float(np.sum(weights) / (n * n * mu))
+    return float(np.sum(xs) / (n * n * mu))
 
 
 def gini(wealth) -> float:
@@ -161,13 +170,14 @@ def snapshot_unchecked(x: np.ndarray, t: int, kappas=()) -> SnapshotMetrics:
         if not k > 0.0:
             raise ValueError("kappa must be positive")
         tail_probs[float(k)] = float(n - np.searchsorted(xs, k * mu, side="right")) / n
+    g = _gini_sorted(xs, mu)  # overwrites xs: the tail counts come first
     return SnapshotMetrics(
         t=int(t),
         n=n,
         mu=float(np.ldexp(mu, e)),
         sigma=float(np.ldexp(sigma, e)),
         cv=float(sigma / mu),
-        gini=_gini_sorted(xs, mu),
+        gini=g,
         tail_probs=tail_probs,
     )
 

@@ -18,6 +18,9 @@ Quadrature policy: 1-D adaptive integration with the inner integral of
 F done in closed form (upper partial moments of the noise law), domains
 truncated where the integrand's law puts less than ~1e-13 of its mass.
 Every reported number carries an error estimate or a tolerance.
+Every quadrature goes through `_quad`, which imports scipy.integrate on
+first use: `config` imports this module for Gamma's calibration, which
+integrates nothing, so a simulation never loads the quadrature stack.
 
 The pair integrand is the innermost loop of verify-integrals (about 150
 evaluations per pair, thousands of pairs), so it runs on Python floats:
@@ -31,10 +34,10 @@ form runs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 from scipy.special.cython_special import gammaincc as _gammaincc
 
@@ -76,7 +79,31 @@ def _ndtr(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def _quad(func, a: float, b: float, **options) -> tuple[float, float]:
+    """`scipy.integrate.quad`, imported on the first call.
+
+    scipy.integrate loads scipy.optimize, linalg, sparse and fft with it
+    (~26 MiB), which only these checks need.
+    """
+    from scipy.integrate import quad
+
+    return quad(func, a, b, **options)
+
+
 # --- restricted pair integral -------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _gamma_constants(k: float, theta: float) -> tuple[float, float, float]:
+    """(log normaliser, t_lo, t_hi) of the gamma pair integrand, once per (k, theta).
+
+    The range in t = ln u cuts 1e-14 of the noise law's mass off each end.
+    A verify-integrals run integrates thousands of pairs of one kernel.
+    """
+    log_norm = float(sp.gammaln(k)) + k * math.log(theta)
+    t_lo = math.log(sp.gammaincinv(k, 1e-14) * theta)
+    t_hi = math.log(sp.gammainccinv(k, 1e-14) * theta)
+    return log_norm, t_lo, t_hi
 
 
 def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
@@ -117,9 +144,7 @@ def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
         k, theta = kernel.gamma_params()
         k_theta = k * theta
         k1 = k + 1.0
-        log_norm = float(sp.gammaln(k)) + k * math.log(theta)
-        t_lo = math.log(sp.gammaincinv(k, 1e-14) * theta)
-        t_hi = math.log(sp.gammainccinv(k, 1e-14) * theta)
+        log_norm, t_lo, t_hi = _gamma_constants(k, theta)
 
         def integrand(t: float) -> float:
             u = math.exp(t)
@@ -129,7 +154,7 @@ def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
                 y * (k_theta * _gammaincc(k1, c_theta)) - xu * _gammaincc(k, c_theta))
 
     scale = kernel.alpha * max(x, y)
-    value, err = integrate.quad(
+    value, err = _quad(
         integrand, t_lo, t_hi, epsabs=1e-12 * scale, epsrel=1e-10, limit=300
     )
     target = 1e-7 * (kernel.alpha * x + kernel.beta)
@@ -250,7 +275,7 @@ class DensityOnRay:
 
     def validate(self) -> float:
         """Quadrature normalization check; returns the measured norm."""
-        norm, _ = integrate.quad(
+        norm, _ = _quad(
             lambda t: math.exp(t) * self.pdf(math.exp(t)),
             math.log(self.a), math.log(self.upper),
             epsabs=1e-10, epsrel=1e-9, limit=400,
@@ -277,8 +302,8 @@ def stripe_window(p: DensityOnRay, x: float, delta: float,
     if hi <= lo:
         return 0.0
     extend = not clip_lower
-    val, _ = integrate.quad(lambda y: p.pdf(y, extend=extend), lo, hi,
-                            epsabs=0.0, epsrel=_STRIPE_EPSREL, limit=200)
+    val, _ = _quad(lambda y: p.pdf(y, extend=extend), lo, hi,
+                   epsabs=0.0, epsrel=_STRIPE_EPSREL, limit=200)
     return float(val)
 
 
@@ -312,9 +337,9 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
     # entirely for small delta, so force a subdivision point there
     kink = math.log(p.a) + delta
     points = [kink] if clip_lower and t_lo < kink < t_hi else None
-    val, err = integrate.quad(integrand, t_lo, t_hi,
-                              epsabs=0.0, epsrel=_STRIPE_EPSREL * 10.0, limit=400,
-                              points=points)
+    val, err = _quad(integrand, t_lo, t_hi,
+                     epsabs=0.0, epsrel=_STRIPE_EPSREL * 10.0, limit=400,
+                     points=points)
     if val != 0.0 and err > 1e-8 * abs(val):
         raise QuadratureError(
             f"stripe functional error estimate {err:.3e} too large for value {val:.6e}"

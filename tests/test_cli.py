@@ -1,6 +1,9 @@
 """End-to-end command line behaviour, exit codes, and CSV round trips."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -327,3 +330,39 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert cli.main(["simulate", "--config", noisy_config(tmp_path), "--seed", seed,
                          "--out", str(tmp_path / "t.csv")]) == 2
         assert "config error: --seed: must be in [0, 2**64)" in capsys.readouterr().err
+
+
+FOOTPRINT_SCRIPT = """\
+import sys
+
+import ginisim
+import ginisim.cli
+from ginisim import cli, experiments, verification
+from ginisim.config import load_config
+
+config, out = sys.argv[1:]
+assert cli.main(["simulate", "--config", config, "--out", out]) == 0
+experiments.gini_cv_series(load_config({
+    "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0, "gamma_disp": 0.2},
+    "policy": {"mode": "proportional", "salary_fraction": 0.1},
+    "population": {"n_agents": 500, "steps": 5},
+}))
+assert "scipy.integrate" not in sys.modules, "a simulation loaded scipy.integrate"
+kernel = ginisim.config.parse_config(config).kernel
+verification.pair_split_integral(kernel, 1.0, 2.0)
+assert "scipy.integrate" in sys.modules, "the first quadrature did not load scipy.integrate"
+"""
+
+
+def test_simulations_never_load_the_quadrature_stack(tmp_path):
+    # a fresh interpreter: this test process has loaded scipy.integrate already
+    cfg = write(tmp_path / "five.yaml", Path(noisy_config(tmp_path)).read_text()
+                .replace("steps: 12", "steps: 5"))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, cfg, str(tmp_path / "five.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert res.returncode == 0, res.stderr
+    assert "final t=5 " in res.stdout

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ginisim import config as config_module
 from ginisim import metrics
 from ginisim.config import ConfigError, InitialSpec, RunConfig, SearchSpec, parse_config
 from ginisim.dynamics import run
@@ -25,6 +26,7 @@ from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
 from ginisim.metrics import gini_influence
 from ginisim.verification import format_report
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -186,6 +188,24 @@ def test_each_population_gini_influence_is_computed_once(monkeypatch):
     sections, _ = verify_bounds(config, run(config))
     assert dict(sections)["gini_growth"]["raw_violations"] == len(dips)
     assert len(calls) == len(populations) < 2 * len(dips)
+
+
+def test_verify_bounds_of_a_run_calibrates_gamma_once(monkeypatch):
+    # the run and the gates folding its rows read one config's Gamma
+    calls = []
+    calibrate = config_module.calibrate_log_derivative_bound
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(config_module, "calibrate_log_derivative_bound", counted)
+    config = dataclasses.replace(parse_config(str(CONFIGS / "flagship.yaml")), steps=5)
+    sections, _ = verify_bounds(config, run(config))
+    assert len(calls) == 1
+    assert dict(sections)["hypothesis_leak"]["inverse_logderiv_constant"] == \
+        config.bound_params().gamma_inv_logderiv
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shift", [400, -400])
