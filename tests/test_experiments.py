@@ -202,7 +202,6 @@ def test_verify_bounds_of_a_run_calibrates_gamma_once(monkeypatch):
     monkeypatch.setattr(config_module, "calibrate_log_derivative_bound", counted)
     config = dataclasses.replace(parse_config(str(CONFIGS / "flagship.yaml")), steps=5)
     sections, _ = verify_bounds(config, run(config))
-    assert len(calls) == 1
     assert dict(sections)["hypothesis_leak"]["inverse_logderiv_constant"] == \
         config.bound_params().gamma_inv_logderiv
     assert len(calls) == 1
