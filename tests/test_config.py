@@ -12,6 +12,7 @@ from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
 from ginisim.verification import verify_integrals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PARSE_GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_configs.txt"
 
 
 def base(**over):
@@ -344,10 +345,38 @@ def test_shipped_configs_parse():
     assert search.search is not None and search.search.horizon == 800
 
 
-def test_readme_configuration_block_loads():
-    # the documented surface is the schema: a key the README shows must load
+def readme_config() -> dict:
     readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1]
-    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-    cfg = load_config(yaml.safe_load(block))
+    return yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_configuration_block_loads():
+    # the documented surface is the schema: a key the README shows must load
+    cfg = load_config(readme_config())
     assert cfg.mode == "proportional" and cfg.search is not None
+
+
+def edited(name: str, **sections) -> dict:
+    """A shipped config with some section fields replaced, as the benchmark edits it."""
+    data = yaml.safe_load((CONFIGS / name).read_text(encoding="utf-8"))
+    for section, fields in sections.items():
+        data.setdefault(section, {}).update(fields)
+    return yaml.safe_load(yaml.safe_dump(data, sort_keys=True))
+
+
+def pinned_configs():
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        yield path.name, yaml.safe_load(path.read_text(encoding="utf-8"))
+    yield "README.md", readme_config()
+    yield "flagship.yaml at 200 steps", edited(
+        "flagship.yaml", population={"steps": 200},
+        output={"final_population": ".perfbench_work/final_population.txt"})
+    yield "integrals.yaml with a gamma kernel", edited("integrals.yaml",
+                                                       kernel={"family": "gamma"})
+
+
+def test_parse_golden():
+    # every field of every shipped and documented config, as load_config builds it
+    text = "".join(f"{name}\n{load_config(data)!r}\n" for name, data in pinned_configs())
+    assert text == PARSE_GOLDEN.read_text(encoding="utf-8")
