@@ -1,8 +1,8 @@
 """Run configuration: strict YAML parsing into validated dataclasses.
 
 The file is a nested mapping; unknown keys anywhere are errors (no
-silent typo acceptance), and every violation message carries the field
-path.
+silent typo acceptance), every number must be finite, and every
+violation message carries the field path.
 """
 
 from __future__ import annotations
@@ -23,19 +23,10 @@ class ConfigError(ValueError):
     """Configuration file invalid; message includes the field path."""
 
 
-_KERNEL_KEYS = {"family", "alpha", "beta", "gamma_disp"}
-_POLICY_KEYS = {"mode", "salary_fraction"}
-_POPULATION_KEYS = {"n_agents", "steps", "initial"}
 # the keys each initial kind takes besides "kind", and whether each is required
 _INITIAL_KEYS = {"point": {"value": False}, "uniform": {"low": True, "high": True},
                  "lognormal": {"mean": False, "cv": True}}
-_BOUNDS_KEYS = {"kappa_grid", "kappa", "delta_stripe", "gamma_logderiv"}
-_OUTPUT_KEYS = {"trajectory", "final_population"}
-_INTEGRALS_KEYS = {"snapshot_step", "n_pairs", "n_trials", "a_values",
-                   "delta_values", "x_diagonal"}
 _SEARCH_KEYS = {"c_lo", "c_hi", "tol", "horizon"}
-_TOP_KEYS = {"kernel", "policy", "population", "master_seed", "bounds", "output",
-             "integrals", "search"}
 
 
 @dataclass(frozen=True)
@@ -119,223 +110,177 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}" if path else msg)
 
 
-def _require_mapping(node, path: str) -> dict:
+def _section(node, path: str, optional, required=()) -> dict:
+    """``node`` as a mapping with every key of ``required`` and none outside both."""
     if not isinstance(node, dict):
         _fail(path, "expected a mapping")
+    for key in node:
+        if key not in optional and key not in required:
+            _fail(path, f"unknown key {key!r}")
+    for key in required:
+        if key not in node:
+            _fail(path, f"missing required key {key!r}")
     return node
 
 
-def _reject_unknown(node: dict, allowed: set, path: str) -> None:
-    for key in node:
-        if key not in allowed:
-            _fail(path, f"unknown key {key!r}")
+def _in_range(number, path, message, at_least=-math.inf, above=-math.inf, below=math.inf):
+    if not (at_least <= number < below and number > above):
+        _fail(path, message)
+    return number
 
 
-def _to_float(value, path: str) -> float:
-    if isinstance(value, bool):
-        _fail(path, "expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity", ".inf"):
-            return math.inf
-        try:
-            return float(value)
-        except ValueError:
-            _fail(path, f"expected a number, got {value!r}")
-    _fail(path, f"expected a number, got {type(value).__name__}")
+def _to_float(value, path: str, message: str = "", **rule) -> float:
+    """``value`` as a finite float that keeps ``rule`` (see ``_in_range``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        _fail(path, f"expected a number, got {type(value).__name__}")
+    try:  # YAML spells the non-finite numbers .inf and .nan
+        number = float(value.lower().replace(".inf", "inf").replace(".nan", "nan")
+                       if isinstance(value, str) else value)
+    except ValueError:
+        _fail(path, f"expected a number, got {value!r}")
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, "must be finite")
+    return _in_range(number, path, message, **rule)
 
 
-def _to_int(value, path: str) -> int:
+def _to_int(value, path: str, message: str = "", **rule) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
-    return int(value)
+    return _in_range(value, path, message, **rule)
 
 
 def _to_seed(value, path: str) -> int:
-    seed = _to_int(value, path)
-    if not 0 <= seed < 1 << 64:  # the streams key on 64 bits: no aliasing
-        _fail(path, f"must be in [0, 2**64), got {seed}")
-    return seed
+    seed = _to_int(value, path)  # the streams key on 64 bits: no aliasing
+    return _in_range(seed, path, f"must be in [0, 2**64), got {seed}", at_least=0, below=2**64)
 
 
-def _to_float_tuple(value, path: str) -> tuple[float, ...]:
+def _to_floats(value, path: str, message: str, **rule) -> tuple[float, ...]:
+    """A non-empty list of finite floats; ``message`` names the list, not the entry."""
     if not isinstance(value, (list, tuple)) or not value:
         _fail(path, "expected a non-empty list of numbers")
-    return tuple(_to_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_in_range(_to_float(v, f"{path}[{i}]"), path, message, **rule)
+                 for i, v in enumerate(value))
 
 
 def _parse_kernel(node, path: str) -> KernelSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, _KERNEL_KEYS, path)
-    for key in ("family", "alpha", "gamma_disp"):
-        if key not in node:
-            _fail(path, f"missing required key {key!r}")
-    kwargs = {"family": node["family"]}
-    for key in ("alpha", "beta", "gamma_disp"):
-        if key in node:
-            kwargs[key] = _to_float(node[key], f"{path}.{key}")
-            if not abs(kwargs[key]) < math.inf:
-                _fail(f"{path}.{key}", "must be finite")
-    if not isinstance(kwargs["family"], str):
+    node = _section(node, path, {"beta"}, ("family", "alpha", "gamma_disp"))
+    kwargs = {key: _to_float(value, f"{path}.{key}") for key, value in node.items()
+              if key != "family"}
+    if not isinstance(node["family"], str):
         _fail(f"{path}.family", "expected a string")
     try:
-        return KernelSpec(**kwargs)
+        return KernelSpec(family=node["family"], **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 
 
 def _parse_initial(node, path: str) -> InitialSpec:
-    node = _require_mapping(node, path)
-    kind = node.get("kind", "point")
+    kind = node.get("kind", "point") if isinstance(node, dict) else "point"
     if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
         _fail(f"{path}.kind", f"unknown initial condition {kind!r}")
     keys = _INITIAL_KEYS[kind]
-    _reject_unknown(node, {"kind", *keys}, path)
+    node = _section(node, path, {"kind", *keys})
     missing = [key for key, required in keys.items() if required and key not in node]
     if missing:
         _fail(path, f"initial kind {kind!r} needs keys {sorted(missing)}")
-    params = {key: _to_float(node[key], f"{path}.{key}") for key in keys if key in node}
-    for key, value in params.items():
-        if not value < math.inf:
-            _fail(f"{path}.{key}", "must be finite")
-        if kind == "point" and not value >= 0.0:
-            _fail(f"{path}.{key}", "must be nonnegative")
-        if kind == "lognormal" and not value > 0.0:
-            _fail(f"{path}.{key}", "must be positive")
-    if kind == "uniform":
-        if not params["low"] >= 0.0:
-            _fail(f"{path}.low", "must be nonnegative")
-        if not params["high"] > params["low"]:
-            _fail(f"{path}.high", "must be greater than low")
+    params = {}
+    for key in (key for key in keys if key in node):
+        if kind == "lognormal":
+            message, rule = "must be positive", {"above": 0.0}
+        elif key == "high":
+            message, rule = "must be greater than low", {"above": params["low"]}
+        else:
+            message, rule = "must be nonnegative", {"at_least": 0.0}
+        params[key] = _to_float(node[key], f"{path}.{key}", message, **rule)
     return InitialSpec(kind=kind, params=params)
 
 
 def _parse_search(node, path: str) -> SearchSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, _SEARCH_KEYS, path)
+    node = _section(node, path, _SEARCH_KEYS)
     missing = _SEARCH_KEYS - node.keys()
     if missing:
         _fail(path, f"missing required keys {sorted(missing)}")
-    spec = SearchSpec(
-        c_lo=_to_float(node["c_lo"], f"{path}.c_lo"),
-        c_hi=_to_float(node["c_hi"], f"{path}.c_hi"),
-        tol=_to_float(node["tol"], f"{path}.tol"),
-        horizon=_to_int(node["horizon"], f"{path}.horizon"),
-    )
-    if not spec.c_lo >= 0.0:
-        _fail(f"{path}.c_lo", "must be >= 0")
-    if not spec.c_lo < spec.c_hi < math.inf:
-        _fail(f"{path}.c_hi", "must be finite and greater than c_lo")
-    if not spec.tol > 0.0:
-        _fail(f"{path}.tol", "must be positive")
-    if spec.horizon < 1:
-        _fail(f"{path}.horizon", "must be at least 1")
-    return spec
+    c_lo = _to_float(node["c_lo"], f"{path}.c_lo", "must be >= 0", at_least=0.0)
+    c_hi = _to_float(node["c_hi"], f"{path}.c_hi", "must be finite and greater than c_lo",
+                     above=c_lo)
+    tol = _to_float(node["tol"], f"{path}.tol", "must be positive", above=0.0)
+    horizon = _to_int(node["horizon"], f"{path}.horizon", "must be at least 1", at_least=1)
+    return SearchSpec(c_lo=c_lo, c_hi=c_hi, tol=tol, horizon=horizon)
 
 
 def load_config(data: dict) -> RunConfig:
     """Validate an already-parsed mapping into a RunConfig."""
-    data = _require_mapping(data, "")
-    _reject_unknown(data, _TOP_KEYS, "")
+    data = _section(data, "", {"kernel", "policy", "population", "master_seed", "bounds",
+                               "output", "integrals", "search"})
     for key in ("kernel", "population"):
         if key not in data:
             _fail("", f"missing required section {key!r}")
-
     kernel = _parse_kernel(data["kernel"], "kernel")
-
-    pop = _require_mapping(data["population"], "population")
-    _reject_unknown(pop, _POPULATION_KEYS, "population")
-    for key in ("n_agents", "steps"):
-        if key not in pop:
-            _fail("population", f"missing required key {key!r}")
-    n_agents = _to_int(pop["n_agents"], "population.n_agents")
-    steps = _to_int(pop["steps"], "population.steps")
-    if n_agents < 2:
-        _fail("population.n_agents", "need at least 2 agents")
-    if steps < 0:
-        _fail("population.steps", "must be nonnegative")
-    initial = _parse_initial(pop["initial"], "population.initial") if "initial" in pop \
-        else InitialSpec()
-
-    kwargs: dict = dict(kernel=kernel, n_agents=n_agents, steps=steps, initial=initial)
-
+    pop = _section(data["population"], "population", {"initial"}, ("n_agents", "steps"))
+    kwargs: dict = dict(
+        kernel=kernel,
+        n_agents=_to_int(pop["n_agents"], "population.n_agents", "need at least 2 agents",
+                         at_least=2),
+        steps=_to_int(pop["steps"], "population.steps", "must be nonnegative", at_least=0),
+        initial=_parse_initial(pop.get("initial", {}), "population.initial"),
+    )
     if "master_seed" in data:
         kwargs["master_seed"] = _to_seed(data["master_seed"], "master_seed")
 
-    if "policy" in data:
-        pol = _require_mapping(data["policy"], "policy")
-        _reject_unknown(pol, _POLICY_KEYS, "policy")
-        mode = pol.get("mode", "linear")
-        if mode not in ("linear", "proportional"):
-            _fail("policy.mode", f"unsupported mode {mode!r} (file configs support "
-                  "'linear' and 'proportional')")
-        kwargs["mode"] = mode
-        if mode == "proportional":
-            if "salary_fraction" not in pol:
-                _fail("policy", "proportional mode needs 'salary_fraction'")
-            c = _to_float(pol["salary_fraction"], "policy.salary_fraction")
-            if c < 0.0:
-                _fail("policy.salary_fraction", "must be >= 0")
-            kwargs["salary_fraction"] = c
-            # the simulation sets beta_t = c * mu_t, while verify-integrals
-            # would check a kernel with the file's beta
-            if kernel.beta != 0.0:
-                _fail("kernel.beta", "must be 0 in proportional mode, where "
-                      "beta_t = salary_fraction * mean")
-        elif "salary_fraction" in pol:
-            _fail("policy.salary_fraction", "only meaningful in proportional mode")
+    pol = _section(data.get("policy", {}), "policy", {"mode", "salary_fraction"})
+    mode = kwargs["mode"] = pol.get("mode", "linear")
+    if mode not in ("linear", "proportional"):
+        _fail("policy.mode", f"unsupported mode {mode!r} (file configs support "
+              "'linear' and 'proportional')")
+    if mode == "proportional":
+        if "salary_fraction" not in pol:
+            _fail("policy", "proportional mode needs 'salary_fraction'")
+        kwargs["salary_fraction"] = _to_float(pol["salary_fraction"], "policy.salary_fraction",
+                                              "must be >= 0", at_least=0.0)
+        # the simulation sets beta_t = c * mu_t, while verify-integrals
+        # would check a kernel with the file's beta
+        if kernel.beta != 0.0:
+            _fail("kernel.beta", "must be 0 in proportional mode, where "
+                  "beta_t = salary_fraction * mean")
+    elif "salary_fraction" in pol:
+        _fail("policy.salary_fraction", "only meaningful in proportional mode")
 
-    if "bounds" in data:
-        bnd = _require_mapping(data["bounds"], "bounds")
-        _reject_unknown(bnd, _BOUNDS_KEYS, "bounds")
-        if "kappa_grid" in bnd:
-            kappas = _to_float_tuple(bnd["kappa_grid"], "bounds.kappa_grid")
-            if any(not 0.0 < k for k in kappas):
-                _fail("bounds.kappa_grid", "thresholds must be positive")
-            kwargs["kappas"] = kappas
-        if "kappa" in bnd:
-            kwargs["kappa"] = _to_float(bnd["kappa"], "bounds.kappa")
-        if "delta_stripe" in bnd:
-            kwargs["delta_stripe"] = _to_float(bnd["delta_stripe"], "bounds.delta_stripe")
-        if "gamma_logderiv" in bnd:
-            g = _to_float(bnd["gamma_logderiv"], "bounds.gamma_logderiv")
-            if not 0.0 < g < math.inf:  # an infinite Gamma passes every gate
-                _fail("bounds.gamma_logderiv", "must be positive and finite")
-            kwargs["gamma_logderiv"] = g
+    bnd = _section(data.get("bounds", {}), "bounds",
+                   {"kappa_grid", "kappa", "delta_stripe", "gamma_logderiv"})
+    if "kappa_grid" in bnd:
+        kwargs["kappas"] = _to_floats(bnd["kappa_grid"], "bounds.kappa_grid",
+                                      "thresholds must be positive", above=0.0)
+    for key in ("kappa", "delta_stripe"):
+        if key in bnd:
+            kwargs[key] = _to_float(bnd[key], f"bounds.{key}")
+    if "gamma_logderiv" in bnd:
+        kwargs["gamma_logderiv"] = _to_float(bnd["gamma_logderiv"], "bounds.gamma_logderiv",
+                                             "must be positive and finite", above=0.0)
 
-    if "output" in data:
-        out = _require_mapping(data["output"], "output")
-        _reject_unknown(out, _OUTPUT_KEYS, "output")
-        if "trajectory" in out:
-            kwargs["trajectory_out"] = str(out["trajectory"])
-        if "final_population" in out:
-            kwargs["final_population_out"] = str(out["final_population"])
+    out = _section(data.get("output", {}), "output", {"trajectory", "final_population"})
+    for key in out:  # each names a file: the field trajectory_out or final_population_out
+        kwargs[f"{key}_out"] = str(out[key])
 
-    if "integrals" in data:
-        integ = _require_mapping(data["integrals"], "integrals")
-        _reject_unknown(integ, _INTEGRALS_KEYS, "integrals")
-        for key in ("snapshot_step", "n_trials"):
-            if key in integ:
-                kwargs[key] = _to_int(integ[key], f"integrals.{key}")
-                if kwargs[key] < 0:
-                    _fail(f"integrals.{key}", "must be nonnegative")
-        if "n_pairs" in integ:
-            kwargs["n_pairs"] = _to_int(integ["n_pairs"], "integrals.n_pairs")
-            if kwargs["n_pairs"] < 1:
-                _fail("integrals.n_pairs", "must be positive")
-        for key in ("a_values", "x_diagonal"):
-            if key in integ:
-                kwargs[key] = _to_float_tuple(integ[key], f"integrals.{key}")
-                if any(not 0.0 < v < math.inf for v in kwargs[key]):
-                    _fail(f"integrals.{key}", "values must be positive and finite")
-        if "delta_values" in integ:
-            deltas = _to_float_tuple(integ["delta_values"], "integrals.delta_values")
-            # the stripe functional is defined for 0 <= delta < 0.2, and its
-            # relative error against the closed form needs delta > 0
-            if any(not 0.0 < d < 0.2 for d in deltas):
-                _fail("integrals.delta_values", "values must be in (0, 0.2)")
-            kwargs["delta_values"] = deltas
+    integ = _section(data.get("integrals", {}), "integrals", {
+        "snapshot_step", "n_pairs", "n_trials", "a_values", "delta_values", "x_diagonal"})
+    for key in ("snapshot_step", "n_trials"):
+        if key in integ:
+            kwargs[key] = _to_int(integ[key], f"integrals.{key}", "must be nonnegative",
+                                  at_least=0)
+    if "n_pairs" in integ:
+        kwargs["n_pairs"] = _to_int(integ["n_pairs"], "integrals.n_pairs", "must be positive",
+                                    at_least=1)
+    for key in ("a_values", "x_diagonal"):
+        if key in integ:
+            kwargs[key] = _to_floats(integ[key], f"integrals.{key}",
+                                     "values must be positive and finite", above=0.0)
+    if "delta_values" in integ:
+        # the stripe functional is defined for 0 <= delta < 0.2, and its
+        # relative error against the closed form needs delta > 0
+        kwargs["delta_values"] = _to_floats(integ["delta_values"], "integrals.delta_values",
+                                            "values must be in (0, 0.2)", above=0.0, below=0.2)
 
     if "search" in data:
         kwargs["search"] = _parse_search(data["search"], "search")

@@ -94,8 +94,8 @@ class GrowthPolicy:
     def proportional(cls, salary_fraction: float) -> "GrowthPolicy":
         """Transfer proportional to the running empirical mean."""
         c = float(salary_fraction)
-        if c < 0.0:
-            raise ValueError("salary fraction must be >= 0")
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"salary fraction must be finite and >= 0, got {c}")
         return cls(c)
 
     def linear_coefficients(self, mu: float, kernel: KernelSpec) -> tuple[float, float]:

@@ -308,18 +308,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     path = write(tmp_path / "inf_alpha.yaml", inf_alpha)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
     assert "config error: kernel.alpha: must be finite" in capsys.readouterr().err
-    # removed keys, an infinite Gamma and a seed the streams cannot key
-    # all stop before any run
+    # removed keys, an infinite Gamma, a nan salary fraction and a seed the
+    # streams cannot key all stop before any run
     noisy = Path(noisy_config(tmp_path)).read_text()
-    for old, new, message in [
-        ("gamma_disp: 0.2", "gamma_disp: 0.2, delta_logx: 2", "kernel: unknown key 'delta_logx'"),
-        ("seed: 7", "seed: 7\nbounds: {epsilon: 0.5}", "bounds: unknown key 'epsilon'"),
-        ("seed: 7", "seed: 7\nbounds: {gamma_logderiv: .inf}",
-         "bounds.gamma_logderiv: must be positive and finite"),
+    kept = write(tmp_path / "kept.csv", "an earlier run\n")
+    for argv, old, new, message in [
+        (["verify-bounds"], "gamma_disp: 0.2", "gamma_disp: 0.2, delta_logx: 2",
+         "kernel: unknown key 'delta_logx'"),
+        (["verify-bounds"], "seed: 7", "seed: 7\nbounds: {epsilon: 0.5}",
+         "bounds: unknown key 'epsilon'"),
+        (["verify-bounds"], "seed: 7", "seed: 7\nbounds: {gamma_logderiv: .inf}",
+         "bounds.gamma_logderiv: must be finite"),
+        (["simulate", "--out", kept], "beta: 0.1, gamma_disp: 0.2}",
+         "beta: 0.0, gamma_disp: 0.2}\npolicy: {mode: proportional, salary_fraction: .nan}",
+         "policy.salary_fraction: must be finite"),
     ]:
         path = write(tmp_path / "bad.yaml", noisy.replace(old, new))
-        assert cli.main(["verify-bounds", "--config", path]) == 2
+        assert cli.main([*argv, "--config", path]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+    assert Path(kept).read_text() == "an earlier run\n"
     # a deterministic kernel has no density to calibrate Gamma from
     det = Path(det_config(tmp_path)).read_text().replace("bounds: {gamma_logderiv: 1.0}\n", "")
     path = write(tmp_path / "det_no_gamma.yaml", det)

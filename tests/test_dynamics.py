@@ -167,6 +167,13 @@ def test_proportional_mode_feeds_back_on_empirical_mean():
         GrowthPolicy.proportional(-0.01)
 
 
+def test_proportional_policy_needs_a_finite_fraction():
+    # a caller that builds the policy without the config loader gets the same rule
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="salary fraction must be finite and >= 0"):
+            GrowthPolicy.proportional(c)
+
+
 def test_initial_conditions():
     pt = initial_point(5, 2.5)
     np.testing.assert_array_equal(pt.wealth, np.full(5, 2.5))
