@@ -252,9 +252,11 @@ def load_config(data: dict) -> RunConfig:
     if "kappa_grid" in bnd:
         kwargs["kappas"] = _to_floats(bnd["kappa_grid"], "bounds.kappa_grid",
                                       "thresholds must be positive", above=0.0)
-    for key in ("kappa", "delta_stripe"):
-        if key in bnd:
-            kwargs[key] = _to_float(bnd[key], f"bounds.{key}")
+    for key, interval, below in (("kappa", "(0, 1/2)", 0.5), ("delta_stripe", "(0, 1)", 1.0)):
+        if key in bnd:  # the range and message of BoundParams, with the field path
+            number = _to_float(bnd[key], f"bounds.{key}")
+            kwargs[key] = _in_range(number, f"bounds.{key}",
+                                    f"must be in {interval}, got {number}", above=0.0, below=below)
     if "gamma_logderiv" in bnd:
         kwargs["gamma_logderiv"] = _to_float(bnd["gamma_logderiv"], "bounds.gamma_logderiv",
                                              "must be positive and finite", above=0.0)
@@ -286,12 +288,8 @@ def load_config(data: dict) -> RunConfig:
         kwargs["search"] = _parse_search(data["search"], "search")
 
     cfg = RunConfig(**kwargs)
-    try:  # Gamma is calibrated where a run uses it; without a density it must be set
-        BoundParams(kappa=cfg.kappa, delta_stripe=cfg.delta_stripe)
-        if not kernel.has_density:
-            cfg.bound_params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not kernel.has_density:  # Gamma is calibrated where a run uses it; here it must be set
+        cfg.bound_params()
     return cfg
 
 

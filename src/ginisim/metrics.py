@@ -211,13 +211,19 @@ def gini_influence(wealth) -> np.ndarray:
     xs = x[order]
     prefix = np.cumsum(xs)
     total = prefix[-1]
-    idx = np.arange(n, dtype=np.float64)
-    u_sorted = xs * (2.0 * idx + 2.0 - n) - 2.0 * prefix + total
-    u = np.empty(n)
+    u_sorted = np.add(_rank_weights(n), 1.0)  # 2*rank - n: times xs, - 2*prefix, + total
+    u_sorted *= xs
+    u_sorted -= np.multiply(prefix, 2.0, out=prefix)
+    u_sorted += total
+    u = prefix  # spent: reuse the buffer
     u[order] = u_sorted
     mean_abs = u.mean() / n  # = 2 mu G
     g = mean_abs / (2.0 * mu)
-    return (u / n - mean_abs) / mu - (g / mu) * (x - mu)
+    u /= n
+    u -= mean_abs
+    u /= mu
+    # the result goes to the newest buffer, which the heap can keep mapped
+    return np.subtract(u, np.multiply(np.subtract(x, mu, out=xs), g / mu, out=xs), out=u_sorted)
 
 
 def cv_recursion_delta_se(wealth_prev, wealth_next, alpha: float, beta: float,

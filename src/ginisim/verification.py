@@ -65,6 +65,7 @@ _CALIBRATION_SAMPLES = 20000
 _STRIPE_EPSREL = 1e-11     # inner window; the outer integral uses 10x
 _SLACK_CONSTANT = 5.0      # minimality threshold Y[h] * (1 - 5*delta)
 _CORE_MASS = 0.99          # pushforward core: conditional mass per agent
+_MIXTURE_BLOCK = 2**15     # agents x grid elements per mixture block: 256 KiB
 
 
 class QuadratureError(RuntimeError):
@@ -532,7 +533,12 @@ def ensemble_gap_bound_check(
 
 def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
                          grid: np.ndarray) -> np.ndarray:
-    """log of mean_i f(g | sources_i) per grid point, memory-chunked."""
+    """log of mean_i f(g | sources_i) per grid point, in even column blocks.
+
+    A block holds about `_MIXTURE_BLOCK` agents x grid elements and at least 4
+    columns (one would sum its agents pairwise, with other rounding), so up to
+    M = 8192 agents the working set is fixed by that budget, whatever M x G.
+    """
     m_agents = sources.size
     x = sources[:, None]
     if kernel.family == LOGNORMAL:
@@ -540,18 +546,18 @@ def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
     else:
         k, theta = kernel.gamma_params()
         log_norm = sp.gammaln(k) + k * math.log(theta)
-    out = np.empty(grid.size)
-    chunk = max(4, int(2e6 // max(m_agents, 1)))
-    for lo in range(0, grid.size, chunk):
-        g = grid[lo:lo + chunk][None, :]
-        ell = (g - kernel.beta) / x
+        log_x = np.log(x)
+
+    def block(g):
+        ell = (g[None, :] - kernel.beta) / x
         if kernel.family == LOGNORMAL:
             z = (np.log(ell) - m) / s
             lp = -np.log(ell * (s * math.sqrt(2.0 * math.pi)) * x) - 0.5 * z * z
         else:
-            lp = (k - 1.0) * np.log(ell) - ell / theta - log_norm - np.log(x)
-        out[lo:lo + chunk] = sp.logsumexp(lp, axis=0) - math.log(m_agents)
-    return out
+            lp = (k - 1.0) * np.log(ell) - ell / theta - log_norm - log_x
+        return sp.logsumexp(lp, axis=0) - math.log(m_agents)
+    n_blocks = min(grid.size // 4, -(-m_agents * grid.size // _MIXTURE_BLOCK))
+    return np.concatenate([block(g) for g in np.array_split(grid, n_blocks)])
 
 
 def pushforward_log_derivative_check(

@@ -217,8 +217,14 @@ def test_bounds_parsing():
 
     with pytest.raises(ConfigError, match="thresholds must be positive"):
         load_config(base(bounds={"kappa_grid": [0.0, 0.25]}))
-    with pytest.raises(ConfigError, match="kappa must be in"):
-        load_config(base(bounds={"kappa": 0.6}))
+    for value in (0.6, 0.5, 0.0, -0.1):
+        with pytest.raises(ConfigError,
+                           match=rf"^bounds\.kappa: must be in \(0, 1/2\), got {value}$"):
+            load_config(base(bounds={"kappa": value}))
+    for value in (2.0, 1.0, 0.0):
+        with pytest.raises(ConfigError,
+                           match=rf"^bounds\.delta_stripe: must be in \(0, 1\), got {value}$"):
+            load_config(base(bounds={"delta_stripe": value}))
     with pytest.raises(ConfigError, match=r"^bounds\.gamma_logderiv: must be positive and finite$"):
         load_config(base(bounds={"gamma_logderiv": -1.0}))
     with pytest.raises(ConfigError, match="unknown key"):
