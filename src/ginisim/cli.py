@@ -100,7 +100,7 @@ def cmd_simulate(args) -> int:
             # per agent of peak memory
             for i in range(0, pop.n, 8192):
                 chunk = pop.wealth[i:i + 8192].tolist()
-                fh.write("".join(["%.17g\n" % v for v in chunk]))
+                fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
     print(f"final t={snap.t} mu={_f12(snap.mu)} cv={_f12(snap.cv)} gini={_f12(snap.gini)}")
     print(f"trajectory written to {out_path}")
     return 0

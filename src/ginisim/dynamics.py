@@ -121,7 +121,7 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     """
     k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
     if policy.salary_fraction is not None:
-        alpha, beta = policy.linear_coefficients(float(pop.wealth.mean()), kernel)
+        alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
         k_t = replace(kernel, alpha=alpha, beta=beta)
     if kernel.family == DETERMINISTIC:
         new = k_t.alpha * pop.wealth + k_t.beta

@@ -24,6 +24,7 @@ where those probes stay within a claimed bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for name in ("alpha", "beta", "gamma_disp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 0.0:
@@ -108,17 +112,18 @@ def unit_mean_noise(family: str, rel_sd, u: np.ndarray) -> np.ndarray:
     behind the linear kernels (factor L = alpha * W with
     rel_sd = gamma_disp/alpha) and the lognormal initial condition.
     The inverse CDF's fresh output is transformed in place; ``u`` is
-    never written.
+    never written.  A scalar lognormal ``rel_sd`` takes its (s, -s^2/2)
+    from a small cache, computed by the same expressions as an array's.
     """
-    rel_sd = np.asarray(rel_sd, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if family == LOGNORMAL:
-        s2 = np.log1p(rel_sd**2)
-        s = np.sqrt(s2)
+        scale = _lognormal_scale if isinstance(rel_sd, float) else _lognormal_scale.__wrapped__
+        s, shift = scale(rel_sd)
         z = sp.ndtri(u)
         z *= s
-        z += -0.5 * s2
+        z += shift
         return np.exp(z, out=z) if np.ndim(z) else np.exp(z)
+    rel_sd = np.asarray(rel_sd, dtype=np.float64)
     if family == GAMMA:
         if rel_sd.ndim:
             raise ValueError("gamma noise takes one scalar rel_sd")
@@ -127,6 +132,13 @@ def unit_mean_noise(family: str, rel_sd, u: np.ndarray) -> np.ndarray:
         w *= r2
         return w
     raise NoDensityError(f"no noise law for family {family!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _lognormal_scale(rel_sd):
+    """(s, -s^2/2) of log W for lognormal unit-mean noise with sd ``rel_sd``."""
+    s2 = np.log1p(np.asarray(rel_sd, dtype=np.float64) ** 2)
+    return np.sqrt(s2), -0.5 * s2
 
 
 # Temme's uniform asymptotic inversion (Math. Comp. 58, 1992): with

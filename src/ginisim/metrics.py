@@ -69,8 +69,20 @@ def _checked_pair(wealth_prev, wealth_next) -> tuple[np.ndarray, np.ndarray, int
     return xp, xn, e
 
 
+def _average(x: np.ndarray):
+    """``x.mean()`` bit for bit (numpy's own sum, then one division), without its wrappers."""
+    return np.add.reduce(x) / x.size
+
+
+def _std(x: np.ndarray, mu):
+    """``x.std()`` bit for bit, given ``mu = _average(x)``: numpy's own passes."""
+    d = np.subtract(x, mu)
+    d *= d
+    return np.sqrt(np.add.reduce(d) / x.size)
+
+
 def _mean(x: np.ndarray, what: str):
-    mu = x.mean()
+    mu = _average(x)
     if not mu > 0.0:
         raise ValueError(f"{what} undefined: mean wealth is zero")
     return mu
@@ -88,8 +100,8 @@ def _gini_sorted(xs: np.ndarray, mu) -> float:
     """Gini of the sorted vector ``xs``, which it overwrites with the weighted terms."""
     n = xs.size
     xs *= _rank_weights(n)
-    # np.sum adds pairwise; a BLAS dot would round differently
-    return float(np.sum(xs) / (n * n * mu))
+    # np.add.reduce adds pairwise; a BLAS dot would round differently
+    return float(np.add.reduce(xs) / (n * n * mu))
 
 
 def gini(wealth) -> float:
@@ -115,7 +127,7 @@ def gini_pairwise_oracle(wealth) -> float:
 def coefficient_of_variation(wealth) -> float:
     x, _ = _checked(wealth)
     mu = _mean(x, "CV")
-    return float(x.std() / mu)
+    return float(_std(x, mu) / mu)
 
 
 def tail_probability(wealth, kappa: float) -> float:
@@ -162,7 +174,7 @@ def snapshot_unchecked(x: np.ndarray, t: int, kappas=()) -> SnapshotMetrics:
     if e:
         x = np.ldexp(x, -e)
     mu = _mean(x, "snapshot")
-    sigma = x.std()
+    sigma = _std(x, mu)  # its temporary is freed before the sort's copy
     xs = np.sort(x)
     n = x.size
     tail_probs = {}

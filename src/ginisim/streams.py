@@ -4,18 +4,20 @@ Every random number consumed anywhere in the simulator is a pure function
 of ``(master_seed, purpose_tag, step_index, block_index)``.  Agents are
 grouped into fixed-size blocks and each block gets its own Philox key,
 so any partition of a population update into blocks gives bit-identical
-output.  `indexed_uniforms` builds one Philox per call and re-keys it
-for each later block (counter 0, empty buffer), which yields exactly the
+output.  `indexed_uniforms` keeps one Philox per thread and re-keys it
+for every block (counter 0, empty buffer), which yields exactly the
 words of a fresh generator under that block's key: the keys and the
-contract are those of one generator per block, at a fraction of the
-construction cost.  The blocks are filled serially: scheduling them on a
-thread pool cost more than the Philox fill it spread.
+contract are those of one generator per block, and no generator is
+constructed per call.  The blocks are filled serially: scheduling them
+on a thread pool cost more than the Philox fill it spread.
 
 The uniform variates produced here are strictly inside (0, 1), which lets
 callers push them through inverse CDFs without guarding against log(0).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -45,6 +47,8 @@ _STEP_BITS = 24
 _ZEROS4 = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at rest
 _ZEROS4.flags.writeable = False
 
+_local = threading.local()  # .philox: this thread's generator, re-keyed per block
+
 
 def _key(master_seed: int, tag: int, step: int, block: int) -> np.ndarray:
     """The Philox key of one block of one (seed, tag, step) stream.
@@ -72,17 +76,22 @@ def uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
     # 52-bit lattice shifted by half a cell: every value (k + 0.5) * 2^-52
     # is exactly representable, so the result lies in [2^-53, 1 - 2^-53]
     # and never touches 0 or 1.  (The 53-bit variant rounds its top cell
-    # up to exactly 1.0, which would poison inverse-CDF sampling.)
+    # up to exactly 1.0, which would poison inverse-CDF sampling.)  The
+    # exponent bits of 1.0 make the view 1 + k*2^-52, from which
+    # subtracting 1 - 2^-53 is exact (Sterbenz).
     raw >>= np.uint64(12)
+    raw |= np.uint64(0x3FF0000000000000)
     u = raw.view(np.float64)
-    u[...] = raw  # element-wise cast over the same buffer; no temporary
-    u += 0.5
-    u *= 2.0**-52
+    u -= 1.0 - 2.0**-53
     return u
 
 
 def block_uniforms(master_seed: int, tag: int, step: int, block: int, n: int) -> np.ndarray:
-    """Uniform(0,1) draws for one block, independent of all other blocks."""
+    """Uniform(0,1) draws for one block, independent of all other blocks.
+
+    Builds a fresh generator under the block's key: the reference that
+    `indexed_uniforms`' re-keyed generator must match.
+    """
     bg = np.random.Philox(key=_key(master_seed, tag, step, block))
     return uniforms_from_raw(bg.random_raw(n))
 
@@ -94,14 +103,14 @@ def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarra
     for diagnostics, which may consume several independent batches.
     """
     raw = np.empty(n, dtype=np.uint64)
-    bg = None
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        bg = _local.philox = np.random.Philox(0)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         key = _key(master_seed, tag, step, lo // BLOCK)
-        if bg is None:
-            bg = np.random.Philox(key=key)
-        else:  # the state of a fresh np.random.Philox(key=key)
-            bg.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
-                        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        # the state of a fresh np.random.Philox(key=key)
+        bg.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+                    "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         raw[lo:hi] = bg.random_raw(hi - lo)
     return uniforms_from_raw(raw)

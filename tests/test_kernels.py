@@ -55,6 +55,11 @@ def test_kernel_validation_messages():
         KernelSpec(family=LOGNORMAL, alpha=1.0, beta=-0.1, gamma_disp=0.1)
     with pytest.raises(ValueError, match="gamma_disp must be >= 0"):
         KernelSpec(family=LOGNORMAL, alpha=1.0, beta=0.0, gamma_disp=-0.1)
+    for field in ("alpha", "beta", "gamma_disp"):
+        for bad in (math.nan, math.inf):
+            params = {"alpha": 1.02, "beta": 0.5, "gamma_disp": 0.2, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+                KernelSpec(family=LOGNORMAL, **params)
     with pytest.raises(ValueError, match="requires gamma_disp = 0"):
         KernelSpec(family=DETERMINISTIC, alpha=1.0, beta=0.0, gamma_disp=0.1)
     with pytest.raises(ValueError, match="requires gamma_disp > 0"):
@@ -264,6 +269,16 @@ def test_in_place_transition_matches_the_allocating_form():
     s2 = np.log1p(np.float64(0.3) ** 2)
     w = unit_mean_noise(LOGNORMAL, 0.3, u)
     assert w.tobytes() == np.exp(-0.5 * s2 + np.sqrt(s2) * sp.ndtri(u)).tobytes()
+
+
+@pytest.mark.parametrize("rel_sd", [0.3, 0.2 / 1.02, 1e-9, 5.0])
+def test_cached_scalar_lognormal_scale_equals_the_array_paths(rel_sd):
+    u = indexed_uniforms(6, TAG_PROBE, 0, 5000)
+    cached = unit_mean_noise(LOGNORMAL, rel_sd, u).tobytes()
+    assert unit_mean_noise(LOGNORMAL, rel_sd, u).tobytes() == cached  # from the cache
+    assert unit_mean_noise(LOGNORMAL, np.float64(rel_sd), u).tobytes() == cached
+    assert unit_mean_noise(LOGNORMAL, np.array(rel_sd), u).tobytes() == cached
+    assert unit_mean_noise(LOGNORMAL, np.array([rel_sd]), u).tobytes() == cached
 
 
 # The gamma noise's quantile against scipy's gammaincinv: 1e6 keyed

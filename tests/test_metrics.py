@@ -189,6 +189,18 @@ def test_snapshot_equals_standalone_metrics_bit_for_bit(values):
     assert snap.tail_probs == {k: tail_probability(x, k) for k in kappas}
 
 
+@pytest.mark.parametrize("shift", [0, 1000, -1000])
+@pytest.mark.parametrize("sigma", [0.2, 1.0])
+def test_snapshot_moments_equal_numpy_mean_and_std_bit_for_bit(sigma, shift):
+    x = np.random.default_rng(18).lognormal(0.0, sigma, size=100_003)
+    scaled = np.ldexp(x, shift)  # exact: every value stays normal
+    snap = snapshot(scaled, 0)
+    assert snap.mu == np.ldexp(x.mean(), shift)
+    assert snap.sigma == np.ldexp(x.std(), shift)
+    assert snap.cv == x.std() / x.mean()
+    assert coefficient_of_variation(scaled) == x.std() / x.mean()
+
+
 def test_checked_input_validation():
     with pytest.raises(ValueError, match="at least 2"):
         gini([1.0])

@@ -1,6 +1,7 @@
 """Keyed-stream reproducibility: the whole package rests on these."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -41,9 +42,11 @@ def test_uniforms_from_raw_endpoints():
     assert u[0] == 2.0**-53
     assert u[1] == 1.0 - 2.0**-53
     assert 0.0 < u[0] and u[1] < 1.0
-    # the in-place conversion equals the allocating formula word for word
-    words = np.random.default_rng(3).integers(0, 2**64, size=5000, dtype=np.uint64,
-                                             endpoint=False)
+    # the in-place conversion equals the allocating formula word for word,
+    # on the edge words and on random ones
+    edges = np.array([0, 1, 2**12 - 1, 2**12, 2**63, 2**64 - 1], dtype=np.uint64)
+    words = np.concatenate([edges, np.random.default_rng(3).integers(
+        0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)])
     expected = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
     assert uniforms_from_raw(words.copy()).tobytes() == expected.tobytes()
 
@@ -128,3 +131,49 @@ def test_rekeyed_generator_matches_fresh_blocks():
     for b, lo in enumerate(range(0, n, BLOCK)):
         hi = min(lo + BLOCK, n)
         np.testing.assert_array_equal(whole[lo:hi], block_uniforms(11, TAG_STEP, 2, b, hi - lo))
+
+
+def _draws(seed):
+    return [indexed_uniforms(seed, TAG_STEP, t, 3 * BLOCK + 17).tobytes() for t in range(40)]
+
+
+def test_concurrent_threads_draw_the_serial_bytes():
+    # each thread re-keys its own generator: two threads drawing at once
+    # must not disturb each other's streams
+    serial = {seed: _draws(seed) for seed in (1, 2)}
+    got = {}
+    start = threading.Barrier(2)
+
+    def work(seed):
+        start.wait()
+        got[seed] = _draws(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in (1, 2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert got == serial
+
+
+def test_no_generator_is_constructed_per_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counts = []
+
+    def work():  # a fresh thread: its first call builds its generator
+        for n in (5, 3 * BLOCK + 1):
+            before = len(built)
+            indexed_uniforms(9, TAG_STEP, 0, n)
+            counts.append(len(built) - before)
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join()
+    assert counts == [1, 0]
