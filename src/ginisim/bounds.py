@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "BoundParams",
-    "BoundCheck",
     "BoundRecord",
     "cv_growth_lower_bound",
     "cv_halting_condition",
@@ -69,16 +68,8 @@ class BoundParams:
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    rhs: float
-    satisfied: bool
-    slack: float
-
-
-@dataclass(frozen=True)
 class BoundRecord:
-    """One serialized inequality row: lhs, rhs and flag, or nan when undefined."""
+    """One evaluated inequality: lhs, rhs, flag and slack, or nan when undefined."""
 
     name: str
     lhs: float
@@ -101,7 +92,7 @@ def cv_growth_lower_bound(cv: float, alpha: float, beta: float, mu: float,
 
 
 def cv_halting_condition(cv: float, alpha: float, beta: float, mu: float,
-                         gamma_disp: float) -> BoundCheck:
+                         gamma_disp: float) -> BoundRecord:
     """Is the additive transfer large enough that CV growth is not forced?
 
     Compares beta^2/(alpha*mu)^2 + 2*beta/(alpha*mu) against
@@ -116,7 +107,7 @@ def cv_halting_condition(cv: float, alpha: float, beta: float, mu: float,
     r2 = (gamma_disp / alpha) ** 2
     rhs = r2 * (1.0 + 1.0 / cv**2) if cv > 0.0 else (math.inf if r2 > 0.0 else 0.0)
     slack = lhs - rhs
-    return BoundCheck(lhs=lhs, rhs=rhs, satisfied=slack >= 0.0, slack=slack)
+    return BoundRecord("cv_halting", lhs, rhs, slack >= 0.0, slack)
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,7 @@ def saturation_lower_bound(tail_complement: float, kappa: float) -> float:
 
 def general_cv_condition(growth_factor: float, mu: float, cv: float,
                          var_redist: float, cov_wealth_redist: float,
-                         gamma_disp: float) -> BoundCheck:
+                         gamma_disp: float) -> BoundRecord:
     """Halting condition for a general mean growth split as factor + redistribution.
 
     Evaluates gamma_disp^2 mu^2 (CV^2 + 1) + Var[redist]
@@ -206,7 +197,7 @@ def general_cv_condition(growth_factor: float, mu: float, cv: float,
         + var_redist
         + 2.0 * growth_factor * cov_wealth_redist
     )
-    return BoundCheck(lhs=lhs, rhs=0.0, satisfied=lhs <= 0.0, slack=-lhs)
+    return BoundRecord("general_cv", lhs, 0.0, lhs <= 0.0, -lhs)
 
 
 @dataclass(frozen=True)
@@ -287,8 +278,7 @@ def step_bound_report(
         records.append(BoundRecord("cv_growth", nan, nan, None, nan))
         records.append(BoundRecord("gini_growth", nan, nan, None, nan))
 
-    halt = cv_halting_condition(snap.cv, alpha_now, beta_now, snap.mu, gamma_disp)
-    records.append(BoundRecord("cv_halting", halt.lhs, halt.rhs, halt.satisfied, halt.slack))
+    records.append(cv_halting_condition(snap.cv, alpha_now, beta_now, snap.mu, gamma_disp))
 
     ms = min_salary_small_dispersion(snap.cv, alpha_now, snap.mu, gamma_disp)
     records.append(_record("min_salary", beta_now, ms.threshold, ">="))

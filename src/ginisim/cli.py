@@ -200,6 +200,9 @@ def cmd_gini(args) -> int:
     except FileNotFoundError:
         print(f"input file not found: {args.input}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{args.input}: cannot read: {exc}", file=sys.stderr)
+        return 2
     if len(values) < 2 or not any(values):
         print(f"{args.input}: need at least 2 values with a positive total, "
               f"got {len(values)} summing to {sum(values):g}", file=sys.stderr)
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; every run is single-threaded")
+                       help="accepted and ignored; every run is single-threaded. "
+                            "Kept while perfbench/run.py passes it")
         p.add_argument("--out", help="output path")
         p.set_defaults(func=func)
 

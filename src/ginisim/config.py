@@ -66,24 +66,25 @@ class RunConfig:
     x_diagonal: tuple[float, ...] = (1.0, 10.0, 100.0)
     search: SearchSpec | None = None
 
-    def bound_params(self) -> BoundParams:
-        """The bound family's parameters: Gamma is ``gamma_logderiv`` or, if unset, calibrated.
+    @cached_property
+    def calibration(self) -> dict:
+        """The kernel's log-derivative calibration at x = 1 under the run's seed.
 
-        The calibration runs once per config object, so a run and the gates
-        that fold its rows read one Gamma.
+        Measured once per config object, so a run, the gates that fold its
+        rows and the verify-integrals report read one Gamma.
         """
+        return calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed)
+
+    def bound_params(self) -> BoundParams:
+        """The bound family's parameters: Gamma is ``gamma_logderiv`` or, if unset, calibrated."""
         gamma = self.gamma_logderiv
         if gamma is None:
             if not self.kernel.has_density:
                 raise ConfigError("bounds.gamma_logderiv: required for a deterministic "
                                   "kernel, which has no density to calibrate")
-            gamma = self._calibrated_gamma
+            gamma = self.calibration["gamma_inv"]
         return BoundParams(kappa=self.kappa, delta_stripe=self.delta_stripe,
                            gamma_inv_logderiv=gamma)
-
-    @cached_property
-    def _calibrated_gamma(self) -> float:
-        return calibrate_log_derivative_bound(self.kernel, 1.0, self.master_seed)["gamma_inv"]
 
     def build_policy(self) -> GrowthPolicy:
         if self.mode == "linear":
@@ -300,6 +301,8 @@ def parse_config(path: str) -> RunConfig:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not parseable: {exc}")
     if data is None:

@@ -117,7 +117,8 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     """Advance the whole ensemble one time step.
 
     Agent i's draw depends only on (master_seed, pop.t, i).  A fifth
-    argument, once a thread pool, is accepted and ignored.
+    argument, once a thread pool, is accepted and ignored while
+    perfbench/baseline.py still passes one.
     """
     k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
     if policy.salary_fraction is not None:

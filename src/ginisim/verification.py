@@ -209,11 +209,12 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
 
     Draws transitions, probes |d log f / d log (x or x')| at each, and
     takes the 0.99 quantile of each probe's magnitude, so that the
-    high_probability_mass of each bound is ~0.99 by construction; that
-    mass is then measured on fresh draws.  Returns the ``calibration``
-    section.  The input and output constants usually differ and are
-    reported side by side; ``gamma_inv``, the reciprocal of the larger,
-    is the conservative inverse constant for the bound chain.
+    high_probability_mass of each bound is ~0.99 by construction
+    (`verify_integrals` measures that mass on fresh draws).  Returns the
+    head of the ``calibration`` section.  The input and output constants
+    usually differ and are reported side by side; ``gamma_inv``, the
+    reciprocal of the larger, is the conservative inverse constant for
+    the bound chain.
     """
     n = _CALIBRATION_SAMPLES
     u = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 0, n)
@@ -227,17 +228,11 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
         out[which] = float(np.quantile(np.abs(probe), _TARGET_MASS))
     if not max(out.values()) > 0.0:  # every draw landed on the mode, where probes vanish
         raise ValueError("cannot calibrate Gamma: the kernel's noise is below float resolution")
-    u_in = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 1, n)
-    u_out = streams.indexed_uniforms(master_seed, streams.TAG_CALIBRATION, 2, n)
     return {
         "target_mass": _TARGET_MASS,
         "delta_logx": out["input"],
         "delta_logxp": out["output"],
         "gamma_inv": 1.0 / max(out["input"], out["output"]),
-        "mass_within_logx": high_probability_mass(kernel, x, out["input"], u_in,
-                                                  which="input").mass,
-        "mass_within_logxp": high_probability_mass(kernel, x, out["output"], u_out,
-                                                   which="output").mass,
     }
 
 
@@ -643,17 +638,24 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
 
     Returns the report sections in order: calibration, then five gated
     sections that each carry their own ``pass``, then ``overall``, whose
-    ``pass`` is their conjunction.  Every section but the stripe-functional
-    grid and ``overall`` is what its check returns.  The ensemble gap and
-    the pushforward run on the population after ``snapshot_step`` steps of
-    the config.  Raises NoDensityError for a kernel without a transition
+    ``pass`` is their conjunction.  The calibration is the config's own
+    (``RunConfig.calibration``) plus the mass within each bound, measured
+    on fresh draws; every other section but the stripe-functional grid and
+    ``overall`` is what its check returns.  The ensemble gap and the
+    pushforward run on the population after ``snapshot_step`` steps of the
+    config.  Raises NoDensityError for a kernel without a transition
     density.
     """
     kernel = config.kernel
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no transition density")
     seed = config.master_seed
-    cal = calibrate_log_derivative_bound(kernel, x=1.0, master_seed=seed)
+    cal = dict(config.calibration)
+    for sequence, which, key in ((1, "input", "logx"), (2, "output", "logxp")):
+        u = streams.indexed_uniforms(seed, streams.TAG_CALIBRATION, sequence,
+                                     _CALIBRATION_SAMPLES)
+        cal[f"mass_within_{key}"] = high_probability_mass(kernel, 1.0, cal[f"delta_{key}"], u,
+                                                          which=which).mass
     sections = [
         ("calibration", cal),
         ("diagonal_bound", diagonal_bound_check(kernel, config.x_diagonal, cal["gamma_inv"])),

@@ -339,6 +339,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "config error: --seed: must be in [0, 2**64)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["simulate", "gini"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, unreadable):
+    # a directory and undecodable bytes, not permission bits, which root ignores
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(bytes(range(128, 256)))
+    out = tmp_path / "t.csv"
+    argv, prefix = {"simulate": (["simulate", "--out", str(out), "--config"], "config error: "),
+                    "gini": (["gini", "--input"], "")}[command]
+    assert cli.main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{prefix}{path}: cannot read: ")
+    assert not out.exists()
+
+
 FOOTPRINT_SCRIPT = """\
 import sys
 

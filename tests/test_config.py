@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from ginisim import config as config_module
+from ginisim import streams, verification
 from ginisim.config import ConfigError, RunConfig, load_config, parse_config
 from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
 from ginisim.verification import verify_integrals
@@ -49,7 +50,8 @@ def counted_calibrations(monkeypatch) -> list:
         calls.append(args)
         return calibrate(*args)
 
-    monkeypatch.setattr(config_module, "calibrate_log_derivative_bound", counted)
+    for module in (config_module, verification):  # each name a caller may use
+        monkeypatch.setattr(module, "calibrate_log_derivative_bound", counted)
     return calls
 
 
@@ -73,9 +75,26 @@ def test_calibrated_gamma_has_one_source(monkeypatch):
         cfg_at = cfg.with_overrides(seed=seed)
         gamma = cfg_at.bound_params().gamma_inv_logderiv
         assert calls[-1] == (cfg.kernel, 1.0, seed)
+        made = len(calls)
         calibration = dict(verify_integrals(cfg_at))["calibration"]
+        assert len(calls) == made  # the report reads the config's calibration
         assert gamma == calibration["gamma_inv"]
     assert cfg.with_overrides(seed=5).bound_params() != cfg.bound_params()
+
+
+def test_bound_params_draws_only_the_calibration_sequence(monkeypatch):
+    # Gamma needs TAG_CALIBRATION sequence 0; the mass checks on sequences
+    # 1 and 2 belong to the verify-integrals report
+    keys = []
+    draw = streams.indexed_uniforms
+
+    def recording(master_seed, tag, sequence, n):
+        keys.append((tag, sequence))
+        return draw(master_seed, tag, sequence, n)
+
+    monkeypatch.setattr(streams, "indexed_uniforms", recording)
+    load_config(base(master_seed=3)).bound_params()
+    assert keys == [(streams.TAG_CALIBRATION, 0)]
 
 
 def test_dispersion_free_kernel_needs_explicit_logderiv():

@@ -194,8 +194,18 @@ def test_calibration_structure():
     assert 0.0 < cal["delta_logxp"] < math.inf
     assert cal["gamma_inv"] == pytest.approx(
         1.0 / max(cal["delta_logx"], cal["delta_logxp"]))
-    assert cal["mass_within_logx"] == pytest.approx(0.99, abs=0.015)
-    assert cal["mass_within_logxp"] == pytest.approx(0.99, abs=0.015)
+    # the mass of each bound, measured on fresh draws, is part of the report
+    config = load_config({
+        "kernel": {"family": LOGNORMAL, "alpha": 1.02, "beta": 0.5, "gamma_disp": 0.3},
+        "population": {"n_agents": 500, "steps": 5},
+        "integrals": {"snapshot_step": 5, "n_pairs": 100, "n_trials": 1,
+                      "a_values": [1.0], "delta_values": [0.01], "x_diagonal": [1.0]},
+    })
+    report = dict(verify_integrals(config))["calibration"]
+    assert list(report.items())[:len(cal)] == list(cal.items())
+    assert list(report)[len(cal):] == ["mass_within_logx", "mass_within_logxp"]
+    assert report["mass_within_logx"] == pytest.approx(0.99, abs=0.015)
+    assert report["mass_within_logxp"] == pytest.approx(0.99, abs=0.015)
     # relative noise 2e-61: every draw is alpha * x, where the probes vanish
     spike = KernelSpec(LOGNORMAL, alpha=1e60, beta=0.0, gamma_disp=0.2)
     with pytest.raises(ValueError, match="noise is below float resolution"):
