@@ -207,10 +207,9 @@ def cmd_gini(args) -> int:
         print(f"{args.input}: need at least 2 values with a positive total, "
               f"got {len(values)} summing to {sum(values):g}", file=sys.stderr)
         return 2
-    g = metrics.gini(values)
-    cv = metrics.coefficient_of_variation(values)
-    print(f"gini {_f12(g)}")
-    print(f"cv {_f12(cv)}")
+    snap = metrics.snapshot(values, 0)
+    print(f"gini {_f12(snap.gini)}")
+    print(f"cv {_f12(snap.cv)}")
     return 0
 
 

@@ -188,7 +188,7 @@ def _parse_initial(node, path: str) -> InitialSpec:
         _fail(path, f"initial kind {kind!r} needs keys {sorted(missing)}")
     params = {}
     for key in (key for key in keys if key in node):
-        if kind == "lognormal":
+        if kind == "lognormal" or key == "value":  # a zero mean leaves the Gini undefined
             message, rule = "must be positive", {"above": 0.0}
         elif key == "high":
             message, rule = "must be greater than low", {"above": params["low"]}
@@ -258,6 +258,12 @@ def load_config(data: dict) -> RunConfig:
             number = _to_float(bnd[key], f"bounds.{key}")
             kwargs[key] = _in_range(number, f"bounds.{key}",
                                     f"must be in {interval}, got {number}", above=0.0, below=below)
+    # a run names each threshold's CSV column and record by its :g form,
+    # which is monotone in the value: only neighbours can print alike
+    kappas = sorted({*kwargs.get("kappas", RunConfig.kappas), kwargs.get("kappa", RunConfig.kappa)})
+    for lo, hi in zip(kappas, kappas[1:]):
+        if f"{lo:g}" == f"{hi:g}":
+            _fail("bounds.kappa_grid", f"thresholds {lo!r} and {hi!r} share the name {lo:g}")
     if "gamma_logderiv" in bnd:
         kwargs["gamma_logderiv"] = _to_float(bnd["gamma_logderiv"], "bounds.gamma_logderiv",
                                              "must be positive and finite", above=0.0)

@@ -35,6 +35,7 @@ from .kernels import (
     DETERMINISTIC,
     LOGNORMAL,
     KernelSpec,
+    conditional_mean,
     transition_from_uniforms,
     unit_mean_noise,
 )
@@ -125,7 +126,7 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
         alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
         k_t = replace(kernel, alpha=alpha, beta=beta)
     if kernel.family == DETERMINISTIC:
-        new = k_t.alpha * pop.wealth + k_t.beta
+        new = conditional_mean(k_t, pop.wealth)
     else:
         u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, pop.n)
         new = transition_from_uniforms(k_t, pop.wealth, u)
@@ -147,8 +148,6 @@ def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
 # --- initial conditions -------------------------------------------------
 
 def initial_point(n: int, value: float = 1.0) -> PopulationState:
-    if value < 0.0:
-        raise ValueError("initial wealth must be nonnegative")
     return PopulationState(np.full(n, float(value)), 0)
 
 
@@ -169,8 +168,6 @@ def initial_lognormal(n: int, mean: float, cv: float, master_seed: int) -> Popul
 
 
 def make_initial(n: int, kind: str, master_seed: int, **params) -> PopulationState:
-    if n < 2:
-        raise ValueError("population needs at least 2 agents")
     if kind == "point":
         return initial_point(n, params.get("value", 1.0))
     if kind == "uniform":

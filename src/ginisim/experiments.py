@@ -212,19 +212,17 @@ def bisect_threshold(classify_at, c_lo: float, c_hi: float, tol: float):
     """Bisect a {diverging below, stabilized above} classifier boundary.
 
     ``classify_at`` maps a coefficient to a verdict string.  The bracket
-    must already be validated.  Returns (midpoint, probes) where probes
-    is the ordered list of (c, verdict) evaluated here.  A diverging
-    probe becomes ``lo`` and a stabilized one ``hi``, so every diverging
-    probe lies below every stabilized one.
+    must already be validated.  Returns the final midpoint; a caller that
+    wants the probes records them in ``classify_at``.  A diverging probe
+    becomes ``lo`` and a stabilized one ``hi``, so every diverging probe
+    lies below every stabilized one.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    probes = []
     lo, hi = float(c_lo), float(c_hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         verdict = classify_at(mid)
-        probes.append((mid, verdict))
         if verdict == DIVERGING:
             lo = mid
         elif verdict == STABILIZED:
@@ -234,7 +232,7 @@ def bisect_threshold(classify_at, c_lo: float, c_hi: float, tol: float):
                 f"probe at c={mid:.6g} is inconclusive; tighten the classifier "
                 "window or adjust the bracket"
             )
-    return 0.5 * (lo + hi), probes
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ def find_min_stabilizing_salary_fraction(config) -> ThresholdSearchResult:
             "need 'stabilized'"
         )
 
-    c_star, _ = bisect_threshold(probe, spec.c_lo, spec.c_hi, spec.tol)
+    c_star = bisect_threshold(probe, spec.c_lo, spec.c_hi, spec.tol)
 
     c_ref = min(p.c for p in probes if p.verdict == STABILIZED)
     plateau_cv = float(cv_series_at[c_ref][-w:].mean())

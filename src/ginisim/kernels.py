@@ -104,38 +104,37 @@ def conditional_variance(kernel: KernelSpec, x):
     return (kernel.gamma_disp * np.asarray(x, dtype=np.float64)) ** 2
 
 
-def unit_mean_noise(family: str, rel_sd, u: np.ndarray) -> np.ndarray:
+def unit_mean_noise(family: str, rel_sd: float, u: np.ndarray) -> np.ndarray:
     """Positive noise W with E[W] = 1 and SD[W] = rel_sd, from uniforms u.
 
     Multiplying a target mean by W realises a draw with that mean and the
     matching relative dispersion.  This is the single sampling primitive
     behind the linear kernels (factor L = alpha * W with
     rel_sd = gamma_disp/alpha) and the lognormal initial condition.
-    The inverse CDF's fresh output is transformed in place; ``u`` is
-    never written.  A scalar lognormal ``rel_sd`` takes its (s, -s^2/2)
-    from a small cache, computed by the same expressions as an array's.
+    ``rel_sd`` is one finite positive scalar.  The inverse CDF's fresh
+    output is transformed in place; ``u`` is never written.  The
+    lognormal (s, -s^2/2) comes from a small cache.
     """
+    if family not in (LOGNORMAL, GAMMA):
+        raise NoDensityError(f"no noise law for family {family!r}")
+    if np.ndim(rel_sd) or not 0.0 < rel_sd < math.inf:
+        raise ValueError(f"noise takes one scalar rel_sd, finite and positive; got {rel_sd!r}")
+    rel_sd = float(rel_sd)
     u = np.asarray(u, dtype=np.float64)
     if family == LOGNORMAL:
-        scale = _lognormal_scale if isinstance(rel_sd, float) else _lognormal_scale.__wrapped__
-        s, shift = scale(rel_sd)
+        s, shift = _lognormal_scale(rel_sd)
         z = sp.ndtri(u)
         z *= s
         z += shift
         return np.exp(z, out=z) if np.ndim(z) else np.exp(z)
-    rel_sd = np.asarray(rel_sd, dtype=np.float64)
-    if family == GAMMA:
-        if rel_sd.ndim:
-            raise ValueError("gamma noise takes one scalar rel_sd")
-        r2 = float(rel_sd) ** 2
-        w = _gamma_quantile(1.0 / r2, u)
-        w *= r2
-        return w
-    raise NoDensityError(f"no noise law for family {family!r}")
+    r2 = rel_sd**2
+    w = _gamma_quantile(1.0 / r2, u)
+    w *= r2
+    return w
 
 
 @functools.lru_cache(maxsize=8)
-def _lognormal_scale(rel_sd):
+def _lognormal_scale(rel_sd: float):
     """(s, -s^2/2) of log W for lognormal unit-mean noise with sd ``rel_sd``."""
     s2 = np.log1p(np.asarray(rel_sd, dtype=np.float64) ** 2)
     return np.sqrt(s2), -0.5 * s2
@@ -372,9 +371,12 @@ def density(kernel: KernelSpec, x: float, xp):
     return float(out[0]) if np.ndim(xp) == 0 else out
 
 
-def _probe_array(kernel, x, xp, which, rel_step) -> np.ndarray:
+_PROBE_STEP = 1e-5  # half-width, in log wealth, of the probes' central difference
+
+
+def _probe_array(kernel, x, xp, which) -> np.ndarray:
     """Central log-log difference of the density; nan where undefined."""
-    h = rel_step
+    h = _PROBE_STEP
     if which == "output":
         lo = log_density(kernel, x, xp * math.exp(-h))
         hi = log_density(kernel, x, xp * math.exp(h))
@@ -388,17 +390,16 @@ def _probe_array(kernel, x, xp, which, rel_step) -> np.ndarray:
     return np.where(np.isfinite(lo) & np.isfinite(hi), probe, np.nan)
 
 
-def log_derivative_probe(kernel: KernelSpec, x: float, xp, which: str = "output",
-                         rel_step: float = 1e-5):
+def log_derivative_probe(kernel: KernelSpec, x: float, xp, which: str = "output"):
     """Finite-difference d log f / d log(x') (or d log x) at given points.
 
     The step is central and taken in log coordinates, so the estimate is
-    exact for log-polynomial densities up to O(rel_step^2).  Any stencil
+    exact for log-polynomial densities up to O(_PROBE_STEP^2).  Any stencil
     point outside the support makes the derivative undefined and raises
     :class:`OutsideSupportError`.
     """
     xp_arr = np.atleast_1d(np.asarray(xp, dtype=np.float64))
-    probe = _probe_array(kernel, x, xp_arr, which, rel_step)
+    probe = _probe_array(kernel, x, xp_arr, which)
     if np.any(np.isnan(probe)):
         raise OutsideSupportError("probe stencil leaves the transition support")
     return float(probe[0]) if np.ndim(xp) == 0 else probe
@@ -416,7 +417,6 @@ class MassEstimate:
     mass: float
     mass_beyond: float
     excluded: float
-    n_samples: int
 
 
 def high_probability_mass(kernel: KernelSpec, x: float, bound: float, u,
@@ -429,7 +429,7 @@ def high_probability_mass(kernel: KernelSpec, x: float, bound: float, u,
     if u.size < 1000:
         raise ValueError("need at least 10^3 samples for a stable mass estimate")
     xp = transition_from_uniforms(kernel, x, u)
-    probe = _probe_array(kernel, x, xp, which, 1e-5)
+    probe = _probe_array(kernel, x, xp, which)
     defined = np.isfinite(probe)
     inside = defined & (np.abs(probe) <= bound)
     n = float(u.size)
@@ -437,5 +437,4 @@ def high_probability_mass(kernel: KernelSpec, x: float, bound: float, u,
         mass=np.count_nonzero(inside) / n,
         mass_beyond=np.count_nonzero(defined & ~inside) / n,
         excluded=np.count_nonzero(~defined) / n,
-        n_samples=u.size,
     )

@@ -81,10 +81,10 @@ def _std(x: np.ndarray, mu):
     return np.sqrt(np.add.reduce(d) / x.size)
 
 
-def _mean(x: np.ndarray, what: str):
+def _mean(x: np.ndarray):
     mu = _average(x)
     if not mu > 0.0:
-        raise ValueError(f"{what} undefined: mean wealth is zero")
+        raise ValueError("statistics undefined: mean wealth is zero")
     return mu
 
 
@@ -110,8 +110,7 @@ def gini(wealth) -> float:
     Equals (1/(2 N^2 mu)) * sum_{i,j} |x_i - x_j|, pairs drawn with
     replacement.
     """
-    x, _ = _checked(wealth)
-    return _gini_sorted(np.sort(x), _mean(x, "Gini"))
+    return snapshot(wealth, 0).gini
 
 
 def gini_pairwise_oracle(wealth) -> float:
@@ -119,24 +118,18 @@ def gini_pairwise_oracle(wealth) -> float:
     x, _ = _checked(wealth)
     if x.size > 10_000:
         raise ValueError("pairwise oracle capped at N = 10^4")
-    mu = _mean(x, "Gini")
+    mu = _mean(x)
     diff = np.abs(x[:, None] - x[None, :]).sum()
     return float(diff / (2.0 * x.size**2 * mu))
 
 
 def coefficient_of_variation(wealth) -> float:
-    x, _ = _checked(wealth)
-    mu = _mean(x, "CV")
-    return float(_std(x, mu) / mu)
+    return snapshot(wealth, 0).cv
 
 
 def tail_probability(wealth, kappa: float) -> float:
     """Fraction of agents with wealth strictly above kappa * mean."""
-    x, _ = _checked(wealth)
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    mu = _mean(x, "tail probability")
-    return float(np.count_nonzero(x > kappa * mu)) / x.size
+    return snapshot(wealth, 0, (kappa,)).tail_probs[float(kappa)]
 
 
 @dataclass(frozen=True)
@@ -155,8 +148,9 @@ class SnapshotMetrics:
 def snapshot(wealth, t: int, kappas=()) -> SnapshotMetrics:
     """All statistics of one state from one validation and one sort.
 
-    Each field equals its standalone function bit for bit; the tail
-    counts are n - searchsorted(sorted, kappa*mu, side="right").
+    `gini`, `coefficient_of_variation` and `tail_probability` read their
+    field of this; the tail counts are
+    n - searchsorted(sorted, kappa*mu, side="right").
     """
     x, _ = _checked(wealth, rescale=False)
     return snapshot_unchecked(x, t, kappas)
@@ -173,7 +167,7 @@ def snapshot_unchecked(x: np.ndarray, t: int, kappas=()) -> SnapshotMetrics:
     e = _exponent(x.max())
     if e:
         x = np.ldexp(x, -e)
-    mu = _mean(x, "snapshot")
+    mu = _mean(x)
     sigma = _std(x, mu)  # its temporary is freed before the sort's copy
     xs = np.sort(x)
     n = x.size

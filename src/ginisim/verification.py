@@ -203,8 +203,7 @@ def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float) -> di
     return section
 
 
-def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
-                                   master_seed: int = 0) -> dict:
+def calibrate_log_derivative_bound(kernel: KernelSpec, x: float, master_seed: int) -> dict:
     """Measure the kernel's log-derivative bounds as sample quantiles.
 
     Draws transitions, probes |d log f / d log (x or x')| at each, and
@@ -221,7 +220,7 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float = 1.0,
     xp = transition_from_uniforms(kernel, x, u)
     out = {}
     for which in ("input", "output"):
-        probe = _probe_array(kernel, x, xp, which, 1e-5)
+        probe = _probe_array(kernel, x, xp, which)
         probe = probe[np.isfinite(probe)]
         if probe.size < n // 2:
             raise ValueError("too many undefined probes; cannot calibrate")
@@ -303,9 +302,9 @@ def stripe_window(p: DensityOnRay, x: float, delta: float,
     return float(val)
 
 
-def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
+def stripe_pair_functional(p: DensityOnRay, delta: float,
                            clip_lower: bool = True, check_norm: bool = True) -> float:
-    """Nested quadrature of int_a x p(x) [window mass of p at x] dx.
+    """Nested quadrature of int_a x p(x) [window mass of p at x] dx, a = p.a.
 
     ``clip_lower=False`` ignores the lower cutoff in the inner window
     (closed-form densities only), which is the variant with the exact
@@ -317,7 +316,6 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
         p.validate()
     if delta == 0.0:
         return 0.0  # empty inner window for any continuous density
-    lo = a if not clip_lower else max(a, p.a)
     extend = not clip_lower
 
     def integrand(t: float) -> float:
@@ -327,7 +325,7 @@ def stripe_pair_functional(p: DensityOnRay, a: float, delta: float,
             return 0.0
         return x * x * fx * stripe_window(p, x, delta, clip_lower)
 
-    t_lo, t_hi = math.log(lo), math.log(p.upper)
+    t_lo, t_hi = math.log(p.a), math.log(p.upper)
     # the window's lower clip disengages at x = p.a * e^delta; that kink
     # sits in a boundary layer of width delta the adaptive rule can miss
     # entirely for small delta, so force a subdivision point there
@@ -438,7 +436,7 @@ def extremal_minimality_check(a: float, delta: float,
         "a": a, "delta": delta,
         "slack_constant": _SLACK_CONSTANT,
         "y_extremal_closed_form": y_closed,
-        "y_extremal_clipped": stripe_pair_functional(h, a, delta, clip_lower=True,
+        "y_extremal_clipped": stripe_pair_functional(h, delta, clip_lower=True,
                                                      check_norm=False),
         "n_trials": len(trial_densities),
         "n_excluded": 0,
@@ -451,7 +449,7 @@ def extremal_minimality_check(a: float, delta: float,
             section["n_excluded"] += 1
             y_val, status = math.nan, "excluded"
         else:
-            y_val = stripe_pair_functional(p, a, delta, clip_lower=True)
+            y_val = stripe_pair_functional(p, delta, clip_lower=True)
             passed = y_val >= threshold and _window_identity_ok(p, delta, measured)
             status = "ok" if passed else "FAIL"
             ok = ok and passed
@@ -467,8 +465,8 @@ def ensemble_gap_bound_check(
     pop: PopulationState,
     kernel: KernelSpec,
     params: BoundParams,
+    master_seed: int,
     n_pairs: int = 2000,
-    master_seed: int = 0,
 ) -> dict:
     """Check E[F(x,y)] >= delta*kappa*mu*Gamma*(1-eps)*P^2 on a snapshot.
 
@@ -559,14 +557,13 @@ def pushforward_log_derivative_check(
     pop_prev: PopulationState,
     kernel: KernelSpec,
     x_grid,
-    claimed_bound: float,
-    tol: float = 0.05,
+    bound: float,
 ) -> dict:
     """Bound the log-derivative of the next-step population density.
 
     Forms p(x) = mean_i f(x | wealth_i) on the grid, differentiates
-    log p against log x, and checks the magnitude against claimed_bound
-    (plus tol) on the union of per-agent core windows: agent i
+    log p against log x, and checks the magnitude against ``bound``
+    on the union of per-agent core windows: agent i
     contributes the interval beta + wealth_i * [q_lo, q_hi] where
     q_lo, q_hi are the growth-ratio quantiles enclosing 99% of its
     conditional mass.  The union therefore carries at least 99% of the
@@ -574,7 +571,7 @@ def pushforward_log_derivative_check(
     log-derivative is a weighted average of component log-derivatives
     that are individually controlled.  Low-density valleys between
     separated components are excluded by construction.  Returns the
-    ``pushforward`` section, whose ``claimed_bound`` includes tol.
+    ``pushforward`` section, whose ``claimed_bound`` is ``bound``.
     Raises if the grid is too coarse to trust the derivative (stride-2
     estimate must agree within 10%).
     """
@@ -625,7 +622,6 @@ def pushforward_log_derivative_check(
             "double the grid resolution"
         )
     max_abs = float(np.max(np.abs(d[core])))
-    bound = claimed_bound + tol
     return {"max_abs_logderiv_core": max_abs, "claimed_bound": bound,
             "core_mass": _CORE_MASS, "pass": max_abs <= bound}
 
@@ -665,7 +661,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     stripe = {}
     for a in config.a_values:
         for d in config.delta_values:
-            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), a, d,
+            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), d,
                                               clip_lower=False, check_norm=False)
             closed = extremal_closed_form(a, d)
             rel = abs(quad_val - closed) / closed
@@ -679,7 +675,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     sections.append(("extremal_minimality",
                      extremal_minimality_check(a=1.0, delta=0.01, trial_densities=trials)))
 
-    for pop in simulate(config.build_initial(seed), kernel, config.build_policy(),
+    for pop in simulate(config.build_initial(), kernel, config.build_policy(),
                         config.snapshot_step, seed):
         pass
     gap_params = BoundParams(kappa=config.kappa, delta_stripe=config.delta_stripe,
@@ -691,9 +687,9 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     lo_q, hi_q = float(np.quantile(sub.wealth, 0.02)), float(np.quantile(sub.wealth, 0.98))
     lo = kernel.beta + 0.8 * max(kernel.alpha * lo_q - kernel.beta, 1e-9)
     hi = kernel.beta + 1.3 * (kernel.alpha * hi_q - kernel.beta)
+    claimed = cal["delta_logxp"]
     sections.append(("pushforward", pushforward_log_derivative_check(
-        sub, kernel, np.geomspace(lo, hi, 220), claimed_bound=cal["delta_logxp"],
-        tol=0.1 * cal["delta_logxp"])))
+        sub, kernel, np.geomspace(lo, hi, 220), bound=claimed + 0.1 * claimed)))
 
     sections.append(("overall", {"pass": all(section["pass"] for _, section in sections
                                              if "pass" in section)}))

@@ -191,7 +191,9 @@ def test_initial_parsing():
          r"^population\.initial\.high: must be greater than low"),
         ({"kind": "uniform", "low": -1, "high": 1},
          r"^population\.initial\.low: must be nonnegative"),
-        ({"kind": "point", "value": -1}, r"^population\.initial\.value: must be nonnegative"),
+        ({"kind": "point", "value": -1}, r"^population\.initial\.value: must be positive"),
+        # an all-zero start has no Gini at t = 0
+        ({"kind": "point", "value": 0}, r"^population\.initial\.value: must be positive"),
         ({"kind": "point", "value": "inf"}, r"^population\.initial\.value: must be finite"),
         ({"kind": "lognormal", "mean": -1, "cv": 1},
          r"^population\.initial\.mean: must be positive"),
@@ -251,6 +253,14 @@ def test_bounds_parsing():
     # the stripe slack is derived as delta_stripe/Gamma where it is used
     with pytest.raises(ConfigError, match=r"^bounds: unknown key 'epsilon'$"):
         load_config(base(bounds={"epsilon": 0.5}))
+    # two thresholds that print alike would share a CSV column and a record name
+    with pytest.raises(ConfigError, match=r"^bounds\.kappa_grid: thresholds 0\.1 and "
+                                          r"0\.1000001 share the name 0\.1$"):
+        load_config(base(bounds={"kappa_grid": [0.1000001, 0.1]}))
+    with pytest.raises(ConfigError, match=r"^bounds\.kappa_grid: thresholds 0\.25 and "
+                                          r"0\.2500001 share the name 0\.25$"):
+        load_config(base(bounds={"kappa_grid": [0.1, 0.25], "kappa": 0.2500001}))
+    assert load_config(base(bounds={"kappa_grid": [0.25, 0.1, 0.25]})).kappas == (0.25, 0.1, 0.25)
     # an infinite Gamma would make the Gini growth gate pass vacuously
     for value in (".inf", "inf", math.inf, "nan"):
         with pytest.raises(ConfigError, match=r"^bounds\.gamma_logderiv: must be finite$"):

@@ -60,7 +60,15 @@ def test_bisect_threshold_step_function():
     def classify(c):
         return STABILIZED if c >= 0.037 else DIVERGING
 
-    c_star, probes = bisect_threshold(classify, 0.0, 0.1, tol=1e-3)
+    probes = []
+
+    def recorded(classifier):
+        def classify_at(c):
+            probes.append((c, classifier(c)))
+            return probes[-1][1]
+        return classify_at
+
+    c_star = bisect_threshold(recorded(classify), 0.0, 0.1, tol=1e-3)
     assert abs(c_star - 0.037) <= 1e-3
     assert len(probes) == 7
     for c, verdict in probes:
@@ -73,7 +81,8 @@ def test_bisect_threshold_step_function():
     def patchy(c):
         return STABILIZED if 0.02 <= c <= 0.03 or 0.06 <= c <= 0.1 else DIVERGING
 
-    _, probes = bisect_threshold(patchy, 0.0, 0.1, tol=1e-3)
+    probes.clear()
+    bisect_threshold(recorded(patchy), 0.0, 0.1, tol=1e-3)
     diverging = [c for c, v in probes if v == DIVERGING]
     stabilized = [c for c, v in probes if v == STABILIZED]
     assert diverging and stabilized

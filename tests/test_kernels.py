@@ -278,7 +278,8 @@ def test_cached_scalar_lognormal_scale_equals_the_array_paths(rel_sd):
     assert unit_mean_noise(LOGNORMAL, rel_sd, u).tobytes() == cached  # from the cache
     assert unit_mean_noise(LOGNORMAL, np.float64(rel_sd), u).tobytes() == cached
     assert unit_mean_noise(LOGNORMAL, np.array(rel_sd), u).tobytes() == cached
-    assert unit_mean_noise(LOGNORMAL, np.array([rel_sd]), u).tobytes() == cached
+    with pytest.raises(ValueError, match="one scalar rel_sd"):
+        unit_mean_noise(LOGNORMAL, np.array([rel_sd]), u)
 
 
 # The gamma noise's quantile against scipy's gammaincinv: 1e6 keyed
@@ -348,3 +349,10 @@ def test_gamma_quantile_of_a_0d_uniform_equals_its_array_value():
 def test_gamma_noise_takes_a_scalar_rel_sd():
     with pytest.raises(ValueError, match="one scalar rel_sd"):
         unit_mean_noise(GAMMA, np.array([0.2, 0.3]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
+@pytest.mark.parametrize("rel_sd", [math.nan, -0.3, 0.0, math.inf])
+def test_noise_rejects_a_rel_sd_that_is_not_finite_and_positive(family, rel_sd):
+    with pytest.raises(ValueError, match="one scalar rel_sd, finite and positive"):
+        unit_mean_noise(family, rel_sd, np.array([0.25, 0.5, 0.75]))

@@ -212,6 +212,13 @@ def test_checked_input_validation():
         coefficient_of_variation(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+def test_zero_mean_wealth_has_no_statistics():
+    for measure in (gini, coefficient_of_variation, lambda x: tail_probability(x, 0.25),
+                    lambda x: snapshot(x, 0), gini_pairwise_oracle):
+        with pytest.raises(ValueError, match="undefined: mean wealth is zero"):
+            measure([0.0, 0.0])
+
+
 def test_snapshot_fields_and_conventions():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     snap = snapshot(x, t=7, kappas=(0.1, 0.25, 1.0))
