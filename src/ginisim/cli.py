@@ -9,8 +9,8 @@ Subcommands:
   chain) with their sampling tolerances; exit 1 on any hard violation.
   The report is `experiments.verify_bounds`.
 * ``verify-integrals``: calibrate the kernel's log-derivative constants
-  and check the whole pair-integral bound chain by quadrature.  The
-  report is `verification.verify_integrals`.
+  and check the whole pair-integral bound chain, in closed form and by
+  quadrature.  The report is `verification.verify_integrals`.
 * ``search-threshold``: bisect the minimal stabilizing salary fraction.
 * ``gini``: Gini and CV of a newline-separated wealth file.
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run a trajectory to CSV"),
         ("verify-bounds", cmd_verify_bounds, "gate the trajectory inequalities"),
         ("verify-integrals", cmd_verify_integrals,
-         "check the pair-integral bound chain by quadrature"),
+         "check the pair-integral bound chain (closed forms and quadrature)"),
         ("search-threshold", cmd_search_threshold,
          "bisect the minimal stabilizing salary fraction"),
     ):

@@ -338,17 +338,22 @@ def transition_from_uniforms(kernel: KernelSpec, x, u) -> np.ndarray:
     return w
 
 
-def log_density(kernel: KernelSpec, x: float, xp) -> np.ndarray:
-    """log of the transition density f(x' | x); -inf outside the support."""
+def log_density(kernel: KernelSpec, x, xp) -> np.ndarray:
+    """log of the transition density f(x' | x); -inf outside the support.
+
+    ``x`` and ``xp`` broadcast against each other.
+    """
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no transition density")
-    if not x > 0.0:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0.0):
         raise ValueError("density degenerates to a point mass at beta for x = 0")
-    xp = np.asarray(xp, dtype=np.float64)
+    x, xp = np.broadcast_arrays(x, np.asarray(xp, dtype=np.float64))
     out = np.full(xp.shape, -math.inf, dtype=np.float64)
     inside = xp > kernel.beta
     if not np.any(inside):
         return out
+    x = x[inside]
     ell = (xp[inside] - kernel.beta) / x  # realized multiplicative factor
     if kernel.family == LOGNORMAL:
         m, s = kernel.lognormal_params()
@@ -361,7 +366,7 @@ def log_density(kernel: KernelSpec, x: float, xp) -> np.ndarray:
             - ell / theta
             - k * math.log(theta)
             - sp.gammaln(k)
-            - math.log(x)
+            - np.log(x)
         )
     return out
 

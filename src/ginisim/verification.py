@@ -14,32 +14,24 @@ ordered dict of the printed keys, ending in ``pass`` where the section is
 gated.  `verify_integrals` lists the sections in report order and
 `format_report` prints them; no other result type exists.
 
-Quadrature policy: 1-D adaptive integration with the inner integral of
-F done in closed form (upper partial moments of the noise law), domains
-truncated where the integrand's law puts less than ~1e-13 of its mass.
-Every reported number carries an error estimate or a tolerance.
-Every quadrature goes through `_quad`, which imports scipy.integrate on
+Quadrature policy: F needs none.  Both noise families give it in
+closed form, evaluated elementwise over arrays of pairs: lognormal noise
+by Margrabe's exchange-option formula (J. Finance 33, 1978), gamma noise
+through Lukacs' theorem that S = V1 + V2 is independent of V2/S ~
+Beta(k, k) (Ann. Math. Stat. 26, 1955).  The stripe functional and the
+extremal normalization are the only quadratures: 1-D adaptive
+integration whose reported numbers carry an error estimate or a
+tolerance.  Each goes through `_quad`, which imports scipy.integrate on
 first use: `config` imports this module for Gamma's calibration, which
 integrates nothing, so a simulation never loads the quadrature stack.
-
-The pair integrand is the innermost loop of verify-integrals (about 150
-evaluations per pair, thousands of pairs), so it runs on Python floats:
-`math` for exp/log/erfc and `scipy.special.cython_special.gammaincc`,
-the same C routine as the `sp.gammaincc` ufunc without its per-call
-dispatch, which costs more than the routine itself.  Its values are
-bit-identical to those of the same integrand written with the ufuncs
-(the tests compare the two), so no quadrature result depends on which
-form runs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 from scipy import special as sp
-from scipy.special.cython_special import gammaincc as _gammaincc
 
 from . import streams
 from .bounds import BoundParams
@@ -50,16 +42,15 @@ from .kernels import (
     NoDensityError,
     _probe_array,
     high_probability_mass,
+    log_density,
     transition_from_uniforms,
     unit_mean_noise,
 )
 from .metrics import tail_probability
 
-_SQRT2 = math.sqrt(2.0)
-
 # Fixed tolerances and sizes of the checks; the report prints the ones a
 # reader needs to interpret its numbers.
-_QUAD_TOL = 1e-6           # diagonal slack allowed for quadrature error
+_QUAD_TOL = 1e-6           # diagonal slack tolerance, printed as quad_tol
 _TARGET_MASS = 0.99        # calibration quantile of the probe magnitudes
 _CALIBRATION_SAMPLES = 20000
 _STRIPE_EPSREL = 1e-11     # inner window; the outer integral uses 10x
@@ -76,10 +67,6 @@ class NonNormalizedError(ValueError):
     """Raised when a density handed to the functional does not integrate to 1."""
 
 
-def _ndtr(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def _quad(func, a: float, b: float, **options) -> tuple[float, float]:
     """`scipy.integrate.quad`, imported on the first call.
 
@@ -94,87 +81,36 @@ def _quad(func, a: float, b: float, **options) -> tuple[float, float]:
 # --- restricted pair integral -------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _gamma_constants(k: float, theta: float) -> tuple[float, float, float]:
-    """(log normaliser, t_lo, t_hi) of the gamma pair integrand, once per (k, theta).
-
-    The range in t = ln u cuts 1e-14 of the noise law's mass off each end.
-    A verify-integrals run integrates thousands of pairs of one kernel.
-    """
-    log_norm = float(sp.gammaln(k)) + k * math.log(theta)
-    t_lo = math.log(sp.gammaincinv(k, 1e-14) * theta)
-    t_hi = math.log(sp.gammainccinv(k, 1e-14) * theta)
-    return log_norm, t_lo, t_hi
-
-
-def pair_split_integral(kernel: KernelSpec, x: float, y: float) -> float:
+def pair_split_integral(kernel: KernelSpec, x, y):
     """F(x, y) = E[(Y' - X')^+] for independent transitions from x and y.
 
-    Computed as a single adaptive integral over the first factor's noise,
-    with the inner integral reduced to the noise law's upper partial
-    moments in closed form.  The additive transfer cancels from Y' - X',
-    so F does not depend on beta.
+    Elementwise over broadcast arrays x and y (a float for 0-d inputs).
+    The additive transfer cancels from Y' - X' = y*L2 - x*L1, so F does
+    not depend on beta.  In closed form, with L = alpha * W:
 
-    Absolute error target: 1e-7 * (alpha*x + beta).
+    * lognormal, log W ~ N(-s^2/2, s^2) (Margrabe):
+      F = alpha * [y*Phi(d1) - x*Phi(d1 - sigma)], sigma = s*sqrt(2),
+      d1 = (ln(y/x) + sigma^2/2) / sigma;
+    * gamma, W ~ Gamma(k, 1/k) (Lukacs):
+      F = alpha * [(x + y)*I_c(k, k+1) - 2x*I_c(k, k)], c = y/(x + y),
+      I the regularized incomplete beta function.
     """
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no density; F undefined")
-    if not (x > 0.0 and y > 0.0):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
         raise ValueError("pair integral requires x, y > 0")
-
-    # Integrand at t = ln u of the first factor's noise U, with c = x*u/y:
-    #   u*f_U(u) * (y*E[V; V > c] - x*u*P(V > c)).
-    # Keep the operation order: a reference built from the ufunc special
-    # functions (tests/test_verification.py) pins every value bit for bit.
     if kernel.family == LOGNORMAL:
-        m, s = kernel.lognormal_params()
-        alpha = kernel.alpha
-        m_s2 = m + s * s
-        norm = s * math.sqrt(2.0 * math.pi)
-        t_lo, t_hi = m - 8.0 * s, m + 8.0 * s
-
-        def integrand(t: float) -> float:
-            xu = x * math.exp(t)
-            log_c = math.log(xu / y)
-            z = (t - m) / s
-            mean_above = alpha * _ndtr((m_s2 - log_c) / s)  # E[V; V > c]
-            tail = _ndtr((m - log_c) / s)  # P(V > c)
-            return math.exp(-0.5 * z * z) / norm * (y * mean_above - xu * tail)
-
+        sigma = kernel.lognormal_params()[1] * math.sqrt(2.0)
+        d1 = (np.log(y / x) + 0.5 * sigma * sigma) / sigma
+        gap = y * sp.ndtr(d1) - x * sp.ndtr(d1 - sigma)
     else:
-        k, theta = kernel.gamma_params()
-        k_theta = k * theta
-        k1 = k + 1.0
-        log_norm, t_lo, t_hi = _gamma_constants(k, theta)
-
-        def integrand(t: float) -> float:
-            u = math.exp(t)
-            xu = x * u
-            c_theta = xu / y / theta
-            return math.exp(k * t - u / theta - log_norm) * (
-                y * (k_theta * _gammaincc(k1, c_theta)) - xu * _gammaincc(k, c_theta))
-
-    scale = kernel.alpha * max(x, y)
-    value, err = _quad(
-        integrand, t_lo, t_hi, epsabs=1e-12 * scale, epsrel=1e-10, limit=300
-    )
-    target = 1e-7 * (kernel.alpha * x + kernel.beta)
-    if err > target:
-        raise QuadratureError(
-            f"pair integral error estimate {err:.3e} exceeds target {target:.3e}"
-        )
-    return float(value)
-
-
-def pair_split_monte_carlo(kernel: KernelSpec, x: float, y: float, n_pairs: int,
-                           master_seed: int) -> tuple[float, float]:
-    """Monte Carlo oracle for the pair integral: (estimate, standard error)."""
-    xs = transition_from_uniforms(
-        kernel, x, streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 0, n_pairs))
-    ys = transition_from_uniforms(
-        kernel, y, streams.indexed_uniforms(master_seed, streams.TAG_PROBE, 1, n_pairs))
-    gap = np.maximum(ys - xs, 0.0)
-    return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(n_pairs))
+        k = kernel.gamma_params()[0]
+        total = x + y
+        c = y / total
+        gap = total * sp.betainc(k, k + 1.0, c) - 2.0 * x * sp.betainc(k, k, c)
+    f = kernel.alpha * gap
+    return float(f) if f.ndim == 0 else f
 
 
 # --- diagonal bound and calibration -------------------------------------
@@ -190,9 +126,8 @@ def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float) -> di
     """
     section = {"gamma_claimed": gamma_claimed, "quad_tol": _QUAD_TOL}
     ok = True
-    for x in x_grid:
-        x = float(x)
-        f = pair_split_integral(kernel, x, x)
+    xs = np.asarray(x_grid, dtype=np.float64)
+    for x, f in zip(xs.tolist(), pair_split_integral(kernel, xs, xs).tolist()):
         slack_mean_scaled = f - gamma_claimed * (kernel.alpha * x + kernel.beta) / 2.0
         slack_x = f - gamma_claimed * x / 2.0
         section[f"f_diag[x={x:g}]"] = f
@@ -472,12 +407,13 @@ def ensemble_gap_bound_check(
 
     Gamma is the calibrated ``params.gamma_inv_logderiv`` and the stripe
     slack is derived from it, eps = min(delta/Gamma, 0.999).  Pairs are
-    sampled with replacement from the ensemble; pairs with a zero-wealth
-    member or a failed quadrature are excluded and counted.  Returns the
-    ``ensemble_gap`` section: it passes when the sampled mean clears the
-    bound by more than 3 standard errors, and its sample statistics are
-    nan when fewer than max(16, n_pairs/2) pairs remain (hypotheses not
-    met).  Raises NoDensityError for a kernel without a transition density.
+    sampled with replacement from the ensemble, and F is evaluated on all
+    of them at once; pairs with a zero-wealth member are excluded and
+    counted.  Returns the ``ensemble_gap`` section: it passes when the
+    sampled mean clears the bound by more than 3 standard errors, and its
+    sample statistics are nan when fewer than max(16, n_pairs/2) pairs
+    remain (hypotheses not met).  Raises NoDensityError for a kernel
+    without a transition density.
     """
     if not kernel.has_density:
         raise NoDensityError("deterministic kernel has no density")
@@ -494,22 +430,14 @@ def ensemble_gap_bound_check(
     ii = np.minimum((u1 * n).astype(np.int64), n - 1)
     jj = np.minimum((u2 * n).astype(np.int64), n - 1)
 
-    values = []
-    excluded = 0
-    for i, j in zip(ii, jj):
-        xi, yj = float(wealth[i]), float(wealth[j])
-        if xi <= 0.0 or yj <= 0.0:
-            excluded += 1
-            continue
-        try:
-            values.append(pair_split_integral(kernel, xi, yj))
-        except QuadratureError:
-            excluded += 1
+    xs, ys = wealth[ii], wealth[jj]
+    kept = (xs > 0.0) & (ys > 0.0)
+    values = pair_split_integral(kernel, xs[kept], ys[kept])
+    excluded = n_pairs - values.size
     lhs = se = margin = math.nan
-    if len(values) >= max(16, n_pairs // 2):
-        arr = np.asarray(values)
-        lhs = float(arr.mean())
-        se = float(arr.std(ddof=1) / math.sqrt(arr.size))
+    if values.size >= max(16, n_pairs // 2):
+        lhs = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(values.size))
         margin = (lhs - rhs) / se if se > 0.0 else math.inf
     return {
         "snapshot_step": pop.t,
@@ -533,21 +461,9 @@ def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
     M = 8192 agents the working set is fixed by that budget, whatever M x G.
     """
     m_agents = sources.size
-    x = sources[:, None]
-    if kernel.family == LOGNORMAL:
-        m, s = kernel.lognormal_params()
-    else:
-        k, theta = kernel.gamma_params()
-        log_norm = sp.gammaln(k) + k * math.log(theta)
-        log_x = np.log(x)
 
     def block(g):
-        ell = (g[None, :] - kernel.beta) / x
-        if kernel.family == LOGNORMAL:
-            z = (np.log(ell) - m) / s
-            lp = -np.log(ell * (s * math.sqrt(2.0 * math.pi)) * x) - 0.5 * z * z
-        else:
-            lp = (k - 1.0) * np.log(ell) - ell / theta - log_norm - log_x
+        lp = log_density(kernel, sources[:, None], g[None, :])
         return sp.logsumexp(lp, axis=0) - math.log(m_agents)
     n_blocks = min(grid.size // 4, -(-m_agents * grid.size // _MIXTURE_BLOCK))
     return np.concatenate([block(g) for g in np.array_split(grid, n_blocks)])

@@ -359,7 +359,6 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, command, unreadable
 FOOTPRINT_SCRIPT = """\
 import sys
 
-import ginisim
 import ginisim.cli
 from ginisim import cli, experiments, verification
 from ginisim.config import load_config
@@ -372,8 +371,7 @@ experiments.gini_cv_series(load_config({
     "population": {"n_agents": 500, "steps": 5},
 }))
 assert "scipy.integrate" not in sys.modules, "a simulation loaded scipy.integrate"
-kernel = ginisim.config.parse_config(config).kernel
-verification.pair_split_integral(kernel, 1.0, 2.0)
+verification.DensityOnRay.extremal(1.0).validate()
 assert "scipy.integrate" in sys.modules, "the first quadrature did not load scipy.integrate"
 """
 

@@ -153,6 +153,21 @@ def test_density_zero_at_and_below_support_edge():
 def test_log_density_degenerate_at_zero_wealth():
     with pytest.raises(ValueError, match="point mass at beta"):
         log_density(LOGN, 0.0, np.array([1.0]))
+    with pytest.raises(ValueError, match="point mass at beta"):
+        log_density(LOGN, np.array([1.0, 0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("base", [LOGN, GAMM])
+def test_log_density_broadcasts_over_x(base):
+    # one row per source wealth, each the scalar call's bits, -inf below beta
+    kernel = KernelSpec(base.family, alpha=1.5, beta=0.5, gamma_disp=0.3)
+    xs = np.array([0.2, 1.0, 7.5])
+    xp = np.array([0.1, 0.5, 0.9, 2.0, 11.0])
+    grid = log_density(kernel, xs[:, None], xp[None, :])
+    assert grid.shape == (3, 5)
+    for row, x in zip(grid, xs.tolist()):
+        assert row.tobytes() == log_density(kernel, x, xp).tobytes()
+    assert np.all(grid[:, :2] == -math.inf)
 
 
 def test_density_requires_noise():
