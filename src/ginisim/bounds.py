@@ -23,22 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "BoundParams",
-    "BoundRecord",
-    "cv_growth_lower_bound",
-    "cv_halting_condition",
-    "min_salary_small_dispersion",
-    "MinSalary",
-    "gini_growth_lower_bound",
-    "gini_halting_tail_bound",
-    "saturation_lower_bound",
-    "general_cv_condition",
-    "adaptation_substitution",
-    "AdaptationMoments",
-    "redistribution_variability_lower_bound",
-]
-
 
 @dataclass(frozen=True)
 class BoundParams:

@@ -106,13 +106,6 @@ class GrowthPolicy:
         return kernel.alpha, self.salary_fraction * mu
 
 
-def mean_evolution(mu: float, alpha: float, beta: float) -> float:
-    """Theory recursion for the ensemble mean: alpha*mu + beta."""
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    return alpha * mu + beta
-
-
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
          master_seed: int, _pool=None) -> PopulationState:
     """Advance the whole ensemble one time step.

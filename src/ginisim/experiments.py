@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, streams
-from .bounds import redistribution_variability_lower_bound
+from .bounds import min_salary_small_dispersion, redistribution_variability_lower_bound
 from .config import ConfigError
 from .dynamics import trajectory
 from .kernels import high_probability_mass
@@ -299,7 +299,7 @@ def find_min_stabilizing_salary_fraction(config) -> ThresholdSearchResult:
     c_ref = min(p.c for p in probes if p.verdict == STABILIZED)
     plateau_cv = float(cv_series_at[c_ref][-w:].mean())
     kernel = config.kernel
-    scale = kernel.gamma_disp**2 / (2.0 * kernel.alpha) * (1.0 + 1.0 / plateau_cv**2)
+    scale = min_salary_small_dispersion(plateau_cv, kernel.alpha, 1.0, kernel.gamma_disp).threshold
     return ThresholdSearchResult(
         c_star=float(c_star),
         probes=probes,

@@ -16,7 +16,7 @@ standard deviation exactly gamma_disp*x, and the support inside
 nonnegative, which the population dynamics rely on.
 
 The module also carries the local regularity diagnostics used by the
-verification layer: closed-form transition densities, finite-difference
+verification layer: closed-form transition log-densities, finite-difference
 probes of the log-density's sensitivity to relative changes of input or
 output wealth, and sampled estimates of how much probability mass sits
 where those probes stay within a claimed bound.
@@ -40,10 +40,6 @@ _FAMILIES = (DETERMINISTIC, LOGNORMAL, GAMMA)
 
 class NoDensityError(ValueError):
     """Raised when a density-based operation is asked of a kernel without one."""
-
-
-class OutsideSupportError(ValueError):
-    """Raised when a probe point falls outside the transition support."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +94,6 @@ class KernelSpec:
 
 def conditional_mean(kernel: KernelSpec, x):
     return kernel.alpha * np.asarray(x, dtype=np.float64) + kernel.beta
-
-
-def conditional_variance(kernel: KernelSpec, x):
-    return (kernel.gamma_disp * np.asarray(x, dtype=np.float64)) ** 2
 
 
 def unit_mean_noise(family: str, rel_sd: float, u: np.ndarray) -> np.ndarray:
@@ -371,16 +363,17 @@ def log_density(kernel: KernelSpec, x, xp) -> np.ndarray:
     return out
 
 
-def density(kernel: KernelSpec, x: float, xp):
-    out = np.exp(log_density(kernel, x, np.atleast_1d(xp)))
-    return float(out[0]) if np.ndim(xp) == 0 else out
-
-
 _PROBE_STEP = 1e-5  # half-width, in log wealth, of the probes' central difference
 
 
-def _probe_array(kernel, x, xp, which) -> np.ndarray:
-    """Central log-log difference of the density; nan where undefined."""
+def log_derivative_probe(kernel: KernelSpec, x, xp, which: str) -> np.ndarray:
+    """Finite-difference d log f / d log x' (``which`` "output") or d log f / d log x ("input").
+
+    The step is central and taken in log coordinates, so the estimate is
+    exact for log-polynomial densities up to O(_PROBE_STEP^2).  ``x`` and
+    ``xp`` broadcast against each other; the result is nan wherever a
+    stencil point leaves the support, where the derivative is undefined.
+    """
     h = _PROBE_STEP
     if which == "output":
         lo = log_density(kernel, x, xp * math.exp(-h))
@@ -393,21 +386,6 @@ def _probe_array(kernel, x, xp, which) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         probe = (hi - lo) / (2.0 * h)
     return np.where(np.isfinite(lo) & np.isfinite(hi), probe, np.nan)
-
-
-def log_derivative_probe(kernel: KernelSpec, x: float, xp, which: str = "output"):
-    """Finite-difference d log f / d log(x') (or d log x) at given points.
-
-    The step is central and taken in log coordinates, so the estimate is
-    exact for log-polynomial densities up to O(_PROBE_STEP^2).  Any stencil
-    point outside the support makes the derivative undefined and raises
-    :class:`OutsideSupportError`.
-    """
-    xp_arr = np.atleast_1d(np.asarray(xp, dtype=np.float64))
-    probe = _probe_array(kernel, x, xp_arr, which)
-    if np.any(np.isnan(probe)):
-        raise OutsideSupportError("probe stencil leaves the transition support")
-    return float(probe[0]) if np.ndim(xp) == 0 else probe
 
 
 @dataclass(frozen=True)
@@ -434,7 +412,7 @@ def high_probability_mass(kernel: KernelSpec, x: float, bound: float, u,
     if u.size < 1000:
         raise ValueError("need at least 10^3 samples for a stable mass estimate")
     xp = transition_from_uniforms(kernel, x, u)
-    probe = _probe_array(kernel, x, xp, which)
+    probe = log_derivative_probe(kernel, x, xp, which)
     defined = np.isfinite(probe)
     inside = defined & (np.abs(probe) <= bound)
     n = float(u.size)

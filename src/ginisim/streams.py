@@ -33,9 +33,8 @@ BLOCK = 4096
 # under the run's own master seed unless noted:
 TAG_STEP = 0         # dynamics: transition draws, sequence = time step
 TAG_INIT = 1         # dynamics: random initial conditions, sequence 0
-TAG_PROBE = 2        # verification: the pair-integral Monte Carlo
-                     # oracle; verify-bounds: its leak estimate, always
-                     # at seed 0, sequence 0
+TAG_PROBE = 2        # verify-bounds: its leak estimate, always at seed 0,
+                     # sequence 0
 TAG_CALIBRATION = 3  # Gamma's calibration, for every run and verify-integrals:
                      # sequence 0 transitions, 1 input mass, 2 output mass
 TAG_PAIRS = 4        # ensemble gap: pair indices i (0) and j (1)

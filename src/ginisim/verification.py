@@ -40,9 +40,9 @@ from .kernels import (
     LOGNORMAL,
     KernelSpec,
     NoDensityError,
-    _probe_array,
     high_probability_mass,
     log_density,
+    log_derivative_probe,
     transition_from_uniforms,
     unit_mean_noise,
 )
@@ -102,7 +102,9 @@ def pair_split_integral(kernel: KernelSpec, x, y):
         raise ValueError("pair integral requires x, y > 0")
     if kernel.family == LOGNORMAL:
         sigma = kernel.lognormal_params()[1] * math.sqrt(2.0)
-        d1 = (np.log(y / x) + 0.5 * sigma * sigma) / sigma
+        with np.errstate(over="ignore", divide="ignore"):  # y/x past the float range: +-inf
+            log_ratio = np.log(y / x)
+        d1 = (log_ratio + 0.5 * sigma * sigma) / sigma
         gap = y * sp.ndtr(d1) - x * sp.ndtr(d1 - sigma)
     else:
         k = kernel.gamma_params()[0]
@@ -155,7 +157,7 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float, master_seed: in
     xp = transition_from_uniforms(kernel, x, u)
     out = {}
     for which in ("input", "output"):
-        probe = _probe_array(kernel, x, xp, which)
+        probe = log_derivative_probe(kernel, x, xp, which)
         probe = probe[np.isfinite(probe)]
         if probe.size < n // 2:
             raise ValueError("too many undefined probes; cannot calibrate")
@@ -238,17 +240,16 @@ def stripe_window(p: DensityOnRay, x: float, delta: float,
 
 
 def stripe_pair_functional(p: DensityOnRay, delta: float,
-                           clip_lower: bool = True, check_norm: bool = True) -> float:
+                           clip_lower: bool = True) -> float:
     """Nested quadrature of int_a x p(x) [window mass of p at x] dx, a = p.a.
 
     ``clip_lower=False`` ignores the lower cutoff in the inner window
     (closed-form densities only), which is the variant with the exact
-    closed form on the extremal density.
+    closed form on the extremal density.  ``p`` is taken as normalised:
+    `DensityOnRay.validate` checks that.
     """
     if not 0.0 <= delta < 0.2:
         raise ValueError("delta must be in [0, 0.2)")
-    if check_norm:
-        p.validate()
     if delta == 0.0:
         return 0.0  # empty inner window for any continuous density
     extend = not clip_lower
@@ -358,7 +359,8 @@ def extremal_minimality_check(a: float, delta: float,
     trials violating their measured cap are excluded and counted, not
     failed.  For the rest the check asserts Y[p] >= Y[h] * (1 - 5*delta)
     and the window identity window_mass ~= 2*delta*x*p(x) within the
-    derivative-bound factor.  Returns the ``extremal_minimality``
+    derivative-bound factor; each such trial must integrate to 1
+    (NonNormalizedError otherwise).  Returns the ``extremal_minimality``
     section, one ``trial[label]`` line per trial.
     """
     if not 0.0 < delta <= 0.05:
@@ -371,8 +373,7 @@ def extremal_minimality_check(a: float, delta: float,
         "a": a, "delta": delta,
         "slack_constant": _SLACK_CONSTANT,
         "y_extremal_closed_form": y_closed,
-        "y_extremal_clipped": stripe_pair_functional(h, delta, clip_lower=True,
-                                                     check_norm=False),
+        "y_extremal_clipped": stripe_pair_functional(h, delta, clip_lower=True),
         "n_trials": len(trial_densities),
         "n_excluded": 0,
     }
@@ -384,6 +385,7 @@ def extremal_minimality_check(a: float, delta: float,
             section["n_excluded"] += 1
             y_val, status = math.nan, "excluded"
         else:
+            p.validate()
             y_val = stripe_pair_functional(p, delta, clip_lower=True)
             passed = y_val >= threshold and _window_identity_ok(p, delta, measured)
             status = "ok" if passed else "FAIL"
@@ -577,8 +579,7 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     stripe = {}
     for a in config.a_values:
         for d in config.delta_values:
-            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), d,
-                                              clip_lower=False, check_norm=False)
+            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), d, clip_lower=False)
             closed = extremal_closed_form(a, d)
             rel = abs(quad_val - closed) / closed
             max_rel = max(max_rel, rel)

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from ginisim import metrics
 from ginisim.config import load_config
 from ginisim.dynamics import (
@@ -15,13 +18,13 @@ from ginisim.dynamics import (
     initial_point,
     initial_uniform,
     make_initial,
-    mean_evolution,
     run,
     simulate,
     step,
     trajectory,
 )
-from ginisim.kernels import DETERMINISTIC, LOGNORMAL, KernelSpec
+from ginisim.kernels import DETERMINISTIC, GAMMA, LOGNORMAL, KernelSpec
+from ginisim.streams import BLOCK
 
 LOGN = KernelSpec(family=LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2)
 
@@ -84,6 +87,28 @@ def test_step_golden_bytes(c):
     assert hashlib.sha256(last.wealth.tobytes()).hexdigest() == GOLDEN_WEALTH[c]
 
 
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([LOGNORMAL, GAMMA]),
+       alpha=st.floats(1.0, 2.0),
+       beta=st.floats(0.0, 2.0),
+       r=st.floats(0.01, 1.5),
+       c=st.none() | st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**64 - 1),
+       n=st.sampled_from([2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]),
+       start=st.sampled_from(["uniform", "lognormal"]),
+       steps=st.integers(1, 4))
+def test_step_equals_the_plain_reference(family, alpha, beta, r, c, seed, n, start, steps):
+    kernel = KernelSpec(family=family, alpha=alpha, beta=beta, gamma_disp=r * alpha)
+    policy = GrowthPolicy.linear() if c is None else GrowthPolicy.proportional(c)
+    params = {"low": 0.5, "high": 2.0} if start == "uniform" else {"mean": 1.5, "cv": 0.8}
+    states = simulate(make_initial(n, start, seed, **params), kernel, policy, steps, seed)
+    wealth = reference.initial(start, n, seed)
+    assert next(states).wealth.tobytes() == wealth.tobytes(), "initial state"
+    for t, pop in enumerate(states):
+        wealth = reference.step(wealth, t, kernel, c, seed)
+        assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
+
+
 def test_deterministic_step_hand_values():
     pop = PopulationState([1.0, 2.0, 3.0], 0)
     out = step(pop, det_kernel(alpha=2.0), GrowthPolicy.linear(), master_seed=0)
@@ -95,20 +120,12 @@ def test_deterministic_step_hand_values():
     np.testing.assert_array_equal(out.wealth, [1.0, 1.0])
 
 
-def test_mean_evolution_hand_values():
-    assert mean_evolution(10.0, 1.2, 0.5) == 12.5
-    assert mean_evolution(7.0, 1.0, 0.0) == 7.0
-    assert mean_evolution(0.0, 1.5, 0.25) == 0.25
-    with pytest.raises(ValueError):
-        mean_evolution(-1.0, 1.0, 0.0)
-
-
 def test_one_step_mean_tracks_mean_evolution():
     n = 100_000
     pop = initial_point(n, 1.0)
     out = step(pop, LOGN, GrowthPolicy.linear(), master_seed=5)
     se = LOGN.gamma_disp * 1.0 / math.sqrt(n)  # SD of x*L is Gamma*x here
-    assert abs(out.wealth.mean() - mean_evolution(1.0, 1.02, 0.0)) < 5.0 * se
+    assert abs(out.wealth.mean() - (1.02 * 1.0 + 0.0)) < 5.0 * se
 
 
 def test_one_step_mean_from_spread_population():
@@ -116,7 +133,7 @@ def test_one_step_mean_from_spread_population():
     mu = rng_pop.wealth.mean()
     out = step(rng_pop, LOGN, GrowthPolicy.linear(), master_seed=9)
     se = LOGN.gamma_disp * math.sqrt(np.mean(rng_pop.wealth**2) / rng_pop.n)
-    assert abs(out.wealth.mean() - mean_evolution(mu, 1.02, 0.0)) < 5.0 * se
+    assert abs(out.wealth.mean() - (1.02 * mu + 0.0)) < 5.0 * se
 
 
 def test_simulate_zero_steps_yields_initial_only():

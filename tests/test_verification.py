@@ -89,6 +89,16 @@ def test_pair_integral_array_call_equals_scalar_calls(family):
     assert isinstance(pair_split_integral(kernel, np.float64(1.5), 0.7), float)
 
 
+def test_pair_integral_ratio_overflow_is_the_upper_limit():
+    # y/x overflows to inf: Phi(d1) = Phi(d1 - sigma) = 1, so F = alpha*(y - x)
+    assert pair_split_integral(LN, 1e-200, 1e200) == 1.02 * (1e200 - 1e-200)
+
+
+def test_pair_integral_ratio_underflow_is_zero():
+    # y/x underflows to 0 and its log to -inf: Y' never exceeds X'
+    assert pair_split_integral(LN, 1e200, 1e-200) == 0.0
+
+
 def test_pair_integral_against_monte_carlo():
     kernel = KernelSpec(LOGNORMAL, alpha=1.02, beta=0.3, gamma_disp=0.25)
     for x, y in [(2.0, 2.0), (1.5, 0.7)]:
@@ -266,12 +276,10 @@ def test_extremal_closed_forms():
     for a in (0.5, 1.0, 10.0):
         for delta in (0.001, 0.01, 0.05):
             h = DensityOnRay.extremal(a)
-            unclipped = stripe_pair_functional(h, delta, clip_lower=False,
-                                               check_norm=False)
+            unclipped = stripe_pair_functional(h, delta, clip_lower=False)
             assert unclipped == pytest.approx(extremal_closed_form(a, delta),
                                               rel=1e-9)
-            clipped = stripe_pair_functional(h, delta, clip_lower=True,
-                                             check_norm=False)
+            clipped = stripe_pair_functional(h, delta, clip_lower=True)
             assert clipped == pytest.approx(
                 a * (delta + 1.0 - math.exp(-delta)), rel=1e-8)
 
@@ -288,8 +296,7 @@ def test_stripe_quadratic_convergence():
     h = DensityOnRay.extremal(1.0)
 
     def excess(delta):
-        val = stripe_pair_functional(h, delta, clip_lower=False,
-                                     check_norm=False)
+        val = stripe_pair_functional(h, delta, clip_lower=False)
         return val / (2.0 * delta) - 1.0
 
     assert excess(0.1) / excess(0.01) == pytest.approx(100.0, rel=0.05)
@@ -324,6 +331,12 @@ def test_minimality_explicit_pareto_trials():
     # c = 1 is the extremal shape up to the upper truncation
     assert lines["pareto_c=1"][0] == pytest.approx(report["y_extremal_clipped"], rel=1e-6)
     assert all(ratio >= 0.95 and status == "ok" for _, ratio, status in lines.values())
+
+
+def test_minimality_rejects_an_unnormalized_trial():
+    twice = DensityOnRay(1.0, lambda y: 2.0 / (y * y), upper=1e10, label="twice")
+    with pytest.raises(NonNormalizedError, match="twice: integrates to"):
+        extremal_minimality_check(1.0, 0.01, [twice])
 
 
 def test_minimality_cap_exclusion():
