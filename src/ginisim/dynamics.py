@@ -14,8 +14,9 @@ Growth policies come in the two salary regimes a config can express:
 
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
-bit-identical trajectories; the CLI's ``--threads`` flag is accepted and
-ignored.
+bit-identical trajectories.  A large step runs in lanes of whole blocks,
+one per usable CPU; they are internal, so neither the CPU count nor the
+CLI's ``--threads`` flag (accepted and ignored) changes a byte.
 
 `trajectory` is the one loop from a RunConfig to measured rows; `run`
 adds the bound records and the coefficients on top of it.
@@ -23,7 +24,9 @@ adds the bound records and the coefficients on top of it.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -106,13 +109,56 @@ class GrowthPolicy:
         return kernel.alpha, self.salary_fraction * mu
 
 
+# A lane's agents at least.  Two lanes against one, on 2 vCPUs: a step 22%
+# slower at N = 1e4, 12% faster at N = 4 blocks and 35% faster at N = 1e5.
+_MIN_LANE = 4 * streams.BLOCK
+
+_pools: dict[int, list] = {}  # pid -> a 1-worker ThreadPoolExecutor per extra lane
+
+
+def _lane_count(n: int) -> int:
+    """One lane per usable CPU, as long as each holds ``_MIN_LANE`` agents."""
+    if n < 2 * _MIN_LANE:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n // _MIN_LANE)
+
+
+def _in_lanes(n: int, lane) -> None:
+    """Call lane(lo, hi) on contiguous BLOCK-aligned ranges that cover 0..n-1.
+
+    The first range runs here, each other one on its own worker, in a copy
+    of this context (numpy's errstate with it).  All lanes have ended when
+    this returns or raises, and a lane's exception is raised here unchanged.
+    """
+    k = _lane_count(n)
+    if k == 1:  # the dispatch and its CPU count cost a step at N = 1e4 about 4%
+        return lane(0, n)
+    pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
+    while len(pools) < k - 1:  # a race between stepping threads only adds an idle one
+        from concurrent.futures import ThreadPoolExecutor  # imported once a step splits
+
+        pools.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="ginisim-lane"))
+    cuts = [streams.BLOCK * (i * n // (k * streams.BLOCK)) for i in range(k)] + [n]
+    futures = [pool.submit(contextvars.copy_context().run, lane, lo, hi)
+               for pool, lo, hi in zip(pools, cuts[1:], cuts[2:])]
+    try:
+        lane(cuts[0], cuts[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits: no lane outlives the step
+    for future in futures:
+        future.result()
+
+
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
          master_seed: int, _pool=None) -> PopulationState:
     """Advance the whole ensemble one time step.
 
-    Agent i's draw depends only on (master_seed, pop.t, i).  A fifth
-    argument, once a thread pool, is accepted and ignored while
-    perfbench/baseline.py still passes one.
+    Agent i's draw depends only on (master_seed, pop.t, i).  The lanes
+    (`_in_lanes`) write into one result, a state once all have succeeded.
+    A fifth argument, once a thread pool, is accepted and ignored, like
+    the CLI's ``--threads``, while perfbench/ still passes both.
     """
     k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
     if policy.salary_fraction is not None:
@@ -121,8 +167,13 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     if kernel.family == DETERMINISTIC:
         new = conditional_mean(k_t, pop.wealth)
     else:
-        u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, pop.n)
-        new = transition_from_uniforms(k_t, pop.wealth, u)
+        new = np.empty(pop.n)
+
+        def lane(lo: int, hi: int) -> None:
+            u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, hi - lo,
+                                         lo // streams.BLOCK)
+            transition_from_uniforms(k_t, pop.wealth[lo:hi], u, new[lo:hi])
+        _in_lanes(pop.n, lane)
     new.flags.writeable = False  # fresh: the next state takes it without a copy
     return PopulationState(new, pop.t + 1)
 

@@ -96,16 +96,17 @@ def conditional_mean(kernel: KernelSpec, x):
     return kernel.alpha * np.asarray(x, dtype=np.float64) + kernel.beta
 
 
-def unit_mean_noise(family: str, rel_sd: float, u: np.ndarray) -> np.ndarray:
+def unit_mean_noise(family: str, rel_sd: float, u: np.ndarray, out=None) -> np.ndarray:
     """Positive noise W with E[W] = 1 and SD[W] = rel_sd, from uniforms u.
 
     Multiplying a target mean by W realises a draw with that mean and the
     matching relative dispersion.  This is the single sampling primitive
     behind the linear kernels (factor L = alpha * W with
     rel_sd = gamma_disp/alpha) and the lognormal initial condition.
-    ``rel_sd`` is one finite positive scalar.  The inverse CDF's fresh
-    output is transformed in place; ``u`` is never written.  The
-    lognormal (s, -s^2/2) comes from a small cache.
+    ``rel_sd`` is one finite positive scalar.  The inverse CDF's output,
+    fresh or ``out`` (an array of u's shape), is transformed in place;
+    ``u`` is never written.  The lognormal (s, -s^2/2) comes from a small
+    cache.
     """
     if family not in (LOGNORMAL, GAMMA):
         raise NoDensityError(f"no noise law for family {family!r}")
@@ -115,14 +116,12 @@ def unit_mean_noise(family: str, rel_sd: float, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if family == LOGNORMAL:
         s, shift = _lognormal_scale(rel_sd)
-        z = sp.ndtri(u)
+        z = sp.ndtri(u, out=out)
         z *= s
         z += shift
         return np.exp(z, out=z) if np.ndim(z) else np.exp(z)
     r2 = rel_sd**2
-    w = _gamma_quantile(1.0 / r2, u)
-    w *= r2
-    return w
+    return np.multiply(_gamma_quantile(1.0 / r2, u), r2, out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -309,18 +308,19 @@ def _gamma_quantile(shape: float, u) -> np.ndarray:
     return x if x.ndim else x[()]
 
 
-def transition_from_uniforms(kernel: KernelSpec, x, u) -> np.ndarray:
+def transition_from_uniforms(kernel: KernelSpec, x, u, out=None) -> np.ndarray:
     """Elementwise x' = x*L + beta with L built from the uniforms u.
 
-    The noise array is fresh, so it is scaled and shifted in place;
-    ``x`` and ``u`` are never written.
+    The noise array, fresh or ``out`` (an array of the shape of u and of
+    the result), is scaled and shifted in place; ``x`` and ``u`` are
+    never written.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("wealth must be nonnegative")
     if kernel.family == DETERMINISTIC:
-        return conditional_mean(kernel, x) + 0.0 * np.asarray(u)
-    w = unit_mean_noise(kernel.family, kernel.gamma_disp / kernel.alpha, u)
+        return np.add(conditional_mean(kernel, x), 0.0 * np.asarray(u), out=out)
+    w = unit_mean_noise(kernel.family, kernel.gamma_disp / kernel.alpha, u, out)
     w *= kernel.alpha
     if x.ndim == 0 or np.shape(w) == x.shape:
         w *= x

@@ -8,8 +8,8 @@ output.  `indexed_uniforms` keeps one Philox per thread and re-keys it
 for every block (counter 0, empty buffer), which yields exactly the
 words of a fresh generator under that block's key: the keys and the
 contract are those of one generator per block, and no generator is
-constructed per call.  The blocks are filled serially: scheduling them
-on a thread pool cost more than the Philox fill it spread.
+constructed per call.  One call, such as one lane of `dynamics.step`, fills
+its blocks serially: a pool per block cost more than the fill it spread.
 
 The uniform variates produced here are strictly inside (0, 1), which lets
 callers push them through inverse CDFs without guarding against log(0).
@@ -95,11 +95,13 @@ def block_uniforms(master_seed: int, tag: int, step: int, block: int, n: int) ->
     return uniforms_from_raw(bg.random_raw(n))
 
 
-def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarray:
-    """One uniform per index 0..n-1, assembled from per-block streams.
+def indexed_uniforms(master_seed: int, tag: int, step: int, n: int,
+                     first_block: int = 0) -> np.ndarray:
+    """One uniform per index first_block*BLOCK + 0..n-1, from per-block streams.
 
     ``step`` is the time step for simulation draws and the sequence index
     for diagnostics, which may consume several independent batches.
+    ``first_block`` lets a lane of a step draw its own blocks only.
     """
     raw = np.empty(n, dtype=np.uint64)
     bg = getattr(_local, "philox", None)
@@ -107,7 +109,7 @@ def indexed_uniforms(master_seed: int, tag: int, step: int, n: int) -> np.ndarra
         bg = _local.philox = np.random.Philox(0)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        key = _key(master_seed, tag, step, lo // BLOCK)
+        key = _key(master_seed, tag, step, first_block + lo // BLOCK)
         # the state of a fresh np.random.Philox(key=key)
         bg.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
                     "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

@@ -2,6 +2,12 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ginisim import metrics
+from ginisim import dynamics, metrics
 from ginisim.config import load_config
 from ginisim.dynamics import (
     GrowthPolicy,
@@ -94,7 +100,8 @@ def test_step_golden_bytes(c):
        r=st.floats(0.01, 1.5),
        c=st.none() | st.floats(0.0, 0.5),
        seed=st.integers(0, 2**64 - 1),
-       n=st.sampled_from([2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1]),
+       n=st.sampled_from([2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1,
+                          8 * BLOCK + 1, 24 * BLOCK + 7]),
        start=st.sampled_from(["uniform", "lognormal"]),
        steps=st.integers(1, 4))
 def test_step_equals_the_plain_reference(family, alpha, beta, r, c, seed, n, start, steps):
@@ -107,6 +114,135 @@ def test_step_equals_the_plain_reference(family, alpha, beta, r, c, seed, n, sta
     for t, pop in enumerate(states):
         wealth = reference.step(wealth, t, kernel, c, seed)
         assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
+
+
+LANE_N = 5 * BLOCK + 123  # not a multiple of BLOCK: the last lane ends inside a block
+
+
+@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
+@pytest.mark.parametrize("c", [None, 0.05], ids=["linear", "proportional"])
+def test_lane_count_never_changes_a_byte(monkeypatch, family, c):
+    kernel = KernelSpec(family=family, alpha=1.02, beta=0.1, gamma_disp=0.3)
+    policy = GrowthPolicy.linear() if c is None else GrowthPolicy.proportional(c)
+    start = make_initial(LANE_N, "lognormal", 8, mean=1.5, cv=0.8)
+    wealth = start.wealth
+    for t in range(3):
+        wealth = reference.step(wealth, t, kernel, c, 8)
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: lanes)
+        *_, last = simulate(start, kernel, policy, 3, 8)
+        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{lanes} lanes"
+    assert len(dynamics._pools[os.getpid()]) >= 2  # the last run handed lanes to workers
+
+
+def test_concurrent_callers_share_the_lane_workers(monkeypatch):
+    # four stepping threads hand their lanes to the same two workers, with
+    # a short switch interval to interleave them
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 3)
+    start = initial_point(LANE_N, 1.0)
+    wealth = start.wealth
+    for t in range(3):
+        wealth = reference.step(wealth, t, LOGN, None, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            runs = [callers.submit(list, simulate(start, LOGN, GrowthPolicy.linear(), 3, 5))
+                    for _ in range(8)]
+            lasts = [run_.result(timeout=60)[-1] for run_ in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(last.wealth.tobytes() == wealth.tobytes() for last in lasts)
+
+
+def _send_last_state(conn, pop):
+    *_, last = simulate(pop, LOGN, GrowthPolicy.linear(), 2, 42)
+    conn.send(last.wealth.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_steps_with_its_own_lanes(monkeypatch):
+    # the child inherits the parent's executors without their threads
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    pop = initial_point(2 * dynamics._MIN_LANE + 1, 1.0)
+    *_, last = simulate(pop, LOGN, GrowthPolicy.linear(), 2, 42)
+    assert dynamics._pools[os.getpid()]  # the parent's worker exists before the fork
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_last_state, args=(send, pop))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child did not finish its steps"
+        assert recv.recv() == last.wealth.tobytes()
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join(10)
+
+
+def test_a_lane_error_aborts_the_run_unchanged(monkeypatch):
+    cfg = load_config({
+        "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0, "gamma_disp": 0.2},
+        "population": {"n_agents": 2 * dynamics._MIN_LANE + 5, "steps": 6},
+        "master_seed": 4,
+        "bounds": {"gamma_logderiv": 1.0},
+    })
+    clean = [pop for pop, _ in trajectory(cfg)]
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    transition = dynamics.transition_from_uniforms
+    boom, worker_calls = ValueError("lane boom"), []
+
+    def failing_in_a_worker(kernel, x, u, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            worker_calls.append(x.size)
+            if len(worker_calls) == 3:  # the step to t = 3
+                raise boom
+        return transition(kernel, x, u, out)
+
+    monkeypatch.setattr(dynamics, "transition_from_uniforms", failing_in_a_worker)
+    rows = []
+    with pytest.raises(ValueError, match="^simulation aborted at step 3: lane boom$") as info:
+        for pop, *_ in run(cfg):
+            rows.append(pop)
+    assert info.value.__cause__ is boom
+    assert [pop.t for pop in rows] == [0, 1, 2]
+    for pop, ref in zip(rows, clean):
+        assert pop.wealth.tobytes() == ref.wealth.tobytes()
+    # the workers outlive the error: the failed step, run again, is the clean one
+    monkeypatch.setattr(dynamics, "transition_from_uniforms", transition)
+    again = step(rows[-1], cfg.kernel, cfg.build_policy(), cfg.master_seed)
+    assert again.wealth.tobytes() == clean[3].wealth.tobytes()
+
+
+def test_a_failing_lane_returns_only_after_the_others(monkeypatch):
+    # the step's result array must not outlive a lane still writing it
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    ended = []
+
+    def lane(lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            raise ValueError("main lane")
+        time.sleep(0.2)
+        ended.append(lo)
+
+    with pytest.raises(ValueError, match="^main lane$"):
+        dynamics._in_lanes(2 * dynamics._MIN_LANE, lane)
+    assert ended == [dynamics._MIN_LANE]
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="np.errstate is a context variable from numpy 2")
+def test_worker_lanes_keep_the_callers_errstate(monkeypatch):
+    # wealth x*L overflows in every lane; the caller's errstate lets it, so
+    # the state's own check reports it, whichever lane overflowed
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    huge = PopulationState(np.full(2 * dynamics._MIN_LANE, 1e308), 0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        step(huge, LOGN, GrowthPolicy.linear(), 0)
 
 
 def test_deterministic_step_hand_values():

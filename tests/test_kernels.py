@@ -254,6 +254,16 @@ def test_transition_from_uniforms_is_deterministic_in_u():
         transition_from_uniforms(LOGN, np.array([-1.0]), np.array([0.5]))
 
 
+def test_transition_into_out_is_the_fresh_transition():
+    # a step's lane writes its agents straight into the step's result
+    u = indexed_uniforms(3, TAG_PROBE, 0, 2000)
+    x = np.linspace(0.0, 50.0, 2000)
+    for kernel in (LOGN, GAMM, DET):
+        out = np.empty(2000)
+        assert transition_from_uniforms(kernel, x, u, out) is out
+        assert out.tobytes() == transition_from_uniforms(kernel, x, u).tobytes()
+
+
 def test_noise_and_transition_leave_their_inputs_unchanged():
     # the noise and the transition are computed in place on fresh buffers;
     # the caller's uniforms and wealth must come back byte for byte

@@ -124,6 +124,15 @@ def test_indexed_uniforms_golden_bytes(key):
     assert got == GOLDEN_UNIFORMS[key]
 
 
+def test_first_block_offset_draws_the_tail_of_the_whole():
+    # a lane that starts at block b draws the whole draw's agents from b*BLOCK on
+    n = 5 * BLOCK + 3
+    whole = indexed_uniforms(11, TAG_STEP, 2, n)
+    for b in (1, 2, 5):
+        tail = indexed_uniforms(11, TAG_STEP, 2, n - b * BLOCK, first_block=b)
+        assert tail.tobytes() == whole[b * BLOCK:].tobytes()
+
+
 def test_rekeyed_generator_matches_fresh_blocks():
     # every block of a long draw equals a freshly keyed generator's block
     n = 5 * BLOCK + 3

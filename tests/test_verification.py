@@ -408,8 +408,8 @@ def test_ensemble_gap_excludes_only_zero_wealth_pairs():
 
 
 def test_diagnostic_streams_are_disjoint(monkeypatch):
-    # every (master_seed, tag, sequence) key one verify-integrals run draws
-    # is drawn once, under the config's own seed
+    # every (master_seed, tag, sequence, first block) key one verify-integrals
+    # run draws is drawn once, under the config's own seed
     config = load_config({
         "kernel": {"family": "lognormal", "alpha": 1.02, "gamma_disp": 0.2},
         "population": {"n_agents": 500, "steps": 5},
@@ -420,16 +420,16 @@ def test_diagnostic_streams_are_disjoint(monkeypatch):
     keys = []
     draw = streams.indexed_uniforms
 
-    def recording(master_seed, tag, sequence, n):
-        keys.append((master_seed, tag, sequence))
-        return draw(master_seed, tag, sequence, n)
+    def recording(master_seed, tag, sequence, n, first_block=0):
+        keys.append((master_seed, tag, sequence, first_block))
+        return draw(master_seed, tag, sequence, n, first_block)
 
     monkeypatch.setattr(streams, "indexed_uniforms", recording)
     verify_integrals(config)
-    assert {tag for _, tag, _ in keys} >= {
+    assert {tag for _, tag, _, _ in keys} >= {
         streams.TAG_STEP, streams.TAG_CALIBRATION, streams.TAG_PAIRS, streams.TAG_TRIALS}
     assert len(set(keys)) == len(keys)
-    assert {seed for seed, _, _ in keys} == {7}
+    assert {seed for seed, *_ in keys} == {7}
 
 
 def _lognormal_shape(kernel):
