@@ -14,9 +14,11 @@ Growth policies come in the two salary regimes a config can express:
 
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
-bit-identical trajectories.  A large step runs in lanes of whole blocks,
-one per usable CPU; they are internal, so neither the CPU count nor the
-CLI's ``--threads`` flag (accepted and ignored) changes a byte.
+bit-identical trajectories.  A large step runs in lanes, one per usable
+CPU, that claim chunks of whole blocks, and `simulate` begins it while the
+caller still measures the state before it.  Neither the CPU count, nor
+which lane drew a chunk, nor the CLI's ``--threads`` flag (accepted and
+ignored) changes a byte.
 
 `trajectory` is the one loop from a RunConfig to measured rows; `run`
 adds the bound records and the coefficients on top of it.
@@ -109,8 +111,8 @@ class GrowthPolicy:
         return kernel.alpha, self.salary_fraction * mu
 
 
-# A lane's agents at least.  Two lanes against one, on 2 vCPUs: a step 22%
-# slower at N = 1e4, 12% faster at N = 4 blocks and 35% faster at N = 1e5.
+# A lane's agents at least, and a chunk's.  Two lanes against one, on 2 vCPUs:
+# a step 22% slower at N = 1e4, 12% faster at N = 4 blocks, 35% at N = 1e5.
 _MIN_LANE = 4 * streams.BLOCK
 
 _pools: dict[int, list] = {}  # pid -> a 1-worker ThreadPoolExecutor per extra lane
@@ -124,69 +126,102 @@ def _lane_count(n: int) -> int:
     return min(cpus or 1, n // _MIN_LANE)
 
 
-def _in_lanes(n: int, lane) -> None:
-    """Call lane(lo, hi) on contiguous BLOCK-aligned ranges that cover 0..n-1.
+def _claim(starts, n: int, lane) -> None:
+    """Call lane(lo, hi) on each ``_MIN_LANE`` chunk whose start lo is claimed from ``starts``."""
+    for lo in starts:  # next() on the shared range iterator is atomic under the GIL
+        lane(lo, min(lo + _MIN_LANE, n))
 
-    The first range runs here, each other one on its own worker, in a copy
-    of this context (numpy's errstate with it).  All lanes have ended when
-    this returns or raises, and a lane's exception is raised here unchanged.
+
+class _Step:
+    """One step, begun: the lane workers draw it while the beginner goes on.
+
+    Agent i's draw depends only on (master_seed, pop.t, i).  Each worker, in
+    a copy of the beginner's context (numpy's errstate with it), claims
+    chunks into one result; in one lane the whole step runs as it begins.
+    `finish` claims chunks here too, waits for every worker, raises a
+    chunk's exception unchanged and returns the state; `wait` only waits.
     """
-    k = _lane_count(n)
-    if k == 1:  # the dispatch and its CPU count cost a step at N = 1e4 about 4%
-        return lane(0, n)
-    pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
-    while len(pools) < k - 1:  # a race between stepping threads only adds an idle one
-        from concurrent.futures import ThreadPoolExecutor  # imported once a step splits
 
-        pools.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="ginisim-lane"))
-    cuts = [streams.BLOCK * (i * n // (k * streams.BLOCK)) for i in range(k)] + [n]
-    futures = [pool.submit(contextvars.copy_context().run, lane, lo, hi)
-               for pool, lo, hi in zip(pools, cuts[1:], cuts[2:])]
-    try:
-        lane(cuts[0], cuts[1])
-    finally:
-        for future in futures:
-            future.exception()  # waits: no lane outlives the step
-    for future in futures:
-        future.result()
-
-
-def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-         master_seed: int, _pool=None) -> PopulationState:
-    """Advance the whole ensemble one time step.
-
-    Agent i's draw depends only on (master_seed, pop.t, i).  The lanes
-    (`_in_lanes`) write into one result, a state once all have succeeded.
-    A fifth argument, once a thread pool, is accepted and ignored, like
-    the CLI's ``--threads``, while perfbench/ still passes both.
-    """
-    k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
-    if policy.salary_fraction is not None:
-        alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
-        k_t = replace(kernel, alpha=alpha, beta=beta)
-    if kernel.family == DETERMINISTIC:
-        new = conditional_mean(k_t, pop.wealth)
-    else:
-        new = np.empty(pop.n)
+    def __init__(self, pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
+                 master_seed: int):
+        k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
+        if policy.salary_fraction is not None:
+            alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
+            k_t = replace(kernel, alpha=alpha, beta=beta)
+        self.t, self.futures = pop.t + 1, []
+        if kernel.family == DETERMINISTIC:
+            self.new = conditional_mean(k_t, pop.wealth)
+            return
+        new = self.new = np.empty(pop.n)
 
         def lane(lo: int, hi: int) -> None:
             u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, hi - lo,
                                          lo // streams.BLOCK)
             transition_from_uniforms(k_t, pop.wealth[lo:hi], u, new[lo:hi])
-        _in_lanes(pop.n, lane)
-    new.flags.writeable = False  # fresh: the next state takes it without a copy
-    return PopulationState(new, pop.t + 1)
+        k = _lane_count(pop.n)
+        if k == 1:  # the dispatch and its CPU count cost a step at N = 1e4 about 4%
+            return lane(0, pop.n)
+        pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
+        while len(pools) < k - 1:  # a race between stepping threads only adds an idle one
+            from concurrent.futures import ThreadPoolExecutor  # imported once a step splits
+
+            pools.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="ginisim-lane"))
+        starts = iter(range(0, pop.n, _MIN_LANE))
+        self.claim = lambda: _claim(starts, pop.n, lane)
+        self.futures = [pool.submit(contextvars.copy_context().run, self.claim)
+                        for pool in pools[:k - 1]]
+
+    def wait(self) -> None:
+        for future in self.futures:
+            future.exception()  # waits: no worker outlives the step
+
+    def finish(self) -> PopulationState:
+        try:
+            if self.futures:
+                self.claim()
+        finally:
+            self.wait()
+        for future in self.futures:
+            future.result()
+        self.new.flags.writeable = False  # fresh: the next state takes it without a copy
+        return PopulationState(self.new, self.t)
+
+
+def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
+         master_seed: int, _pool=None) -> PopulationState:
+    """Advance the whole ensemble one time step: begin it (`_Step`), then finish it.
+
+    A `_Step` that `simulate` began from ``pop`` is finished instead; any other
+    fifth argument (perfbench/ passes a thread pool) is ignored, like ``--threads``.
+    """
+    return (_pool if isinstance(_pool, _Step) else _Step(pop, kernel, policy, master_seed)).finish()
 
 
 def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
              steps: int, master_seed: int) -> Iterator[PopulationState]:
-    """Yield the initial state and each of the `steps` successor states."""
+    """Yield the initial state and each of the `steps` successor states.
+
+    With lane workers, each next step is begun before a state's yield, so
+    it is drawn while the caller measures that state; `step` finishes it,
+    or raises in its turn the error of a step that could not begin.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    yield pop
-    for _ in range(steps):
-        pop = step(pop, kernel, policy, master_seed)
+    ahead = kernel.family != DETERMINISTIC and _lane_count(pop.n) > 1
+    begun = None
+    try:
+        for _ in range(steps):
+            if ahead:
+                try:
+                    begun = _Step(pop, kernel, policy, master_seed)
+                except ValueError:
+                    begun = None
+            yield pop
+            pop = step(pop, kernel, policy, master_seed, begun)
         yield pop
+    finally:
+        if begun is not None:
+            begun.wait()  # an abandoned run leaves no worker writing
 
 
 # --- initial conditions -------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ginisim import dynamics, metrics
+from ginisim import dynamics, metrics, streams
 from ginisim.config import load_config
 from ginisim.dynamics import (
     GrowthPolicy,
@@ -116,7 +116,32 @@ def test_step_equals_the_plain_reference(family, alpha, beta, r, c, seed, n, sta
         assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
 
 
-LANE_N = 5 * BLOCK + 123  # not a multiple of BLOCK: the last lane ends inside a block
+LANE_N = 5 * BLOCK + 123  # not a multiple of BLOCK: the last chunk ends inside a block
+
+
+def _chunks_only_on(monkeypatch, who):
+    """Let only the main thread, or only the workers, claim chunks; return the threads that ran one."""
+    claim, ran = dynamics._claim, set()
+
+    def claim_if(chunks, n, lane):
+        if (threading.current_thread() is threading.main_thread()) == (who == "main"):
+            claim(chunks, n, lambda lo, hi: (ran.add(threading.current_thread()), lane(lo, hi)))
+
+    monkeypatch.setattr(dynamics, "_claim", claim_if)
+    return ran
+
+
+def _record_begun(monkeypatch):
+    """Record every step begun from here on; return the list."""
+    begun = []
+
+    class Recorded(dynamics._Step):
+        def __init__(self, *args):
+            super().__init__(*args)
+            begun.append(self)
+
+    monkeypatch.setattr(dynamics, "_Step", Recorded)
+    return begun
 
 
 @pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
@@ -132,7 +157,71 @@ def test_lane_count_never_changes_a_byte(monkeypatch, family, c):
         monkeypatch.setattr(dynamics, "_lane_count", lambda n: lanes)
         *_, last = simulate(start, kernel, policy, 3, 8)
         assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{lanes} lanes"
-    assert len(dynamics._pools[os.getpid()]) >= 2  # the last run handed lanes to workers
+    assert len(dynamics._pools[os.getpid()]) >= 2  # the last run handed chunks to workers
+    for who in ("worker", "main"):  # one thread takes every chunk
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+        ran = _chunks_only_on(monkeypatch, who)
+        *_, last = simulate(start, kernel, policy, 3, 8)
+        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{who} only"
+        assert len(ran) == 1 and (threading.main_thread() in ran) == (who == "main")
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * dynamics._MIN_LANE + 1])
+def test_simulate_steps_through_the_module_step(monkeypatch, n):
+    # perfbench's tracer divides its per-step counts by the calls of
+    # dynamics.step; a run begins no step past its last one
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 1 if n < 2 * dynamics._MIN_LANE else 2)
+    plain, calls, begun = dynamics.step, [], _record_begun(monkeypatch)
+
+    def counting(*args):
+        calls.append(args[4] if len(args) > 4 else None)
+        return plain(*args)
+
+    monkeypatch.setattr(dynamics, "step", counting)
+    start = initial_point(n, 1.0)
+    states = list(simulate(start, LOGN, GrowthPolicy.proportional(0.05), 4, 3))
+    assert len(calls) == 4 and [pop.t for pop in states] == list(range(5))
+    assert len(begun) == 4
+    if n > 2 * dynamics._MIN_LANE:  # each step begun ahead, before its state's yield
+        assert calls == begun and all(b.futures for b in begun)
+    wealth = start.wealth
+    for t, pop in enumerate(states[1:]):
+        wealth = reference.step(wealth, t, LOGN, 0.05, 3)
+        assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
+
+
+@pytest.mark.parametrize("how", ["close", "raise"])
+def test_an_abandoned_run_leaves_no_step_drawing(monkeypatch, how):
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    begun, draw = _record_begun(monkeypatch), streams.indexed_uniforms
+
+    def slow_in_a_worker(*args):  # the begun step still draws when the run is left
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.1)
+        return draw(*args)
+
+    monkeypatch.setattr(streams, "indexed_uniforms", slow_in_a_worker)
+    start = initial_point(LANE_N, 1.0)
+    if how == "close":
+        states = simulate(start, LOGN, GrowthPolicy.linear(), 5, 5)
+        assert [next(states).t, next(states).t] == [0, 1]
+        states.close()
+    else:
+        def consume():
+            for pop in simulate(start, LOGN, GrowthPolicy.linear(), 5, 5):
+                if pop.t == 1:
+                    raise RuntimeError("consumer gave up")
+
+        with pytest.raises(RuntimeError, match="consumer gave up"):
+            consume()
+    assert len(begun) == 2 and begun[-1].futures  # the step to t = 2 was under way
+    assert all(future.done() for b in begun for future in b.futures)
+    monkeypatch.undo()
+    wealth = start.wealth
+    for t, pop in enumerate(list(simulate(start, LOGN, GrowthPolicy.linear(), 3, 5))[1:]):
+        wealth = reference.step(wealth, t, LOGN, None, 5)
+        assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
 
 
 def test_concurrent_callers_share_the_lane_workers(monkeypatch):
@@ -192,46 +281,51 @@ def test_a_lane_error_aborts_the_run_unchanged(monkeypatch):
         "bounds": {"gamma_logderiv": 1.0},
     })
     clean = [pop for pop, _ in trajectory(cfg)]
-    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-    transition = dynamics.transition_from_uniforms
-    boom, worker_calls = ValueError("lane boom"), []
+    draw = streams.indexed_uniforms
+    boom = ValueError("lane boom")
 
-    def failing_in_a_worker(kernel, x, u, out=None):
-        if threading.current_thread() is not threading.main_thread():
-            worker_calls.append(x.size)
-            if len(worker_calls) == 3:  # the step to t = 3
-                raise boom
-        return transition(kernel, x, u, out)
+    def failing_in_block_4(master_seed, tag, t, n, first_block=0):
+        if tag == streams.TAG_STEP and t == 2 and first_block == 4:  # the step to t = 3
+            raise boom
+        return draw(master_seed, tag, t, n, first_block)
 
-    monkeypatch.setattr(dynamics, "transition_from_uniforms", failing_in_a_worker)
-    rows = []
-    with pytest.raises(ValueError, match="^simulation aborted at step 3: lane boom$") as info:
-        for pop, *_ in run(cfg):
-            rows.append(pop)
-    assert info.value.__cause__ is boom
-    assert [pop.t for pop in rows] == [0, 1, 2]
-    for pop, ref in zip(rows, clean):
-        assert pop.wealth.tobytes() == ref.wealth.tobytes()
-    # the workers outlive the error: the failed step, run again, is the clean one
-    monkeypatch.setattr(dynamics, "transition_from_uniforms", transition)
-    again = step(rows[-1], cfg.kernel, cfg.build_policy(), cfg.master_seed)
-    assert again.wealth.tobytes() == clean[3].wealth.tobytes()
+    for who in ("worker", "main"):  # the failing chunk drawn by either thread
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+        ran = _chunks_only_on(monkeypatch, who)
+        monkeypatch.setattr(streams, "indexed_uniforms", failing_in_block_4)
+        rows = []
+        with pytest.raises(ValueError, match="^simulation aborted at step 3: lane boom$") as info:
+            for pop, *_ in run(cfg):
+                rows.append(pop)
+        assert info.value.__cause__ is boom
+        assert len(ran) == 1 and (threading.main_thread() in ran) == (who == "main")
+        assert [pop.t for pop in rows] == [0, 1, 2]
+        for pop, ref in zip(rows, clean):
+            assert pop.wealth.tobytes() == ref.wealth.tobytes()
+        # the workers outlive the error: the failed step, run again, is the clean one
+        monkeypatch.setattr(streams, "indexed_uniforms", draw)
+        again = step(rows[-1], cfg.kernel, cfg.build_policy(), cfg.master_seed)
+        assert again.wealth.tobytes() == clean[3].wealth.tobytes()
+        monkeypatch.undo()
 
 
 def test_a_failing_lane_returns_only_after_the_others(monkeypatch):
-    # the step's result array must not outlive a lane still writing it
+    # the step's result array must not outlive a chunk still writing it
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-    ended = []
+    draw, failed, ended = streams.indexed_uniforms, [], []
 
-    def lane(lo, hi):
+    def failing_on_the_main_thread(master_seed, tag, t, n, first_block=0):
         if threading.current_thread() is threading.main_thread():
+            failed.append(first_block)
             raise ValueError("main lane")
         time.sleep(0.2)
-        ended.append(lo)
+        ended.append(first_block)
+        return draw(master_seed, tag, t, n, first_block)
 
+    monkeypatch.setattr(streams, "indexed_uniforms", failing_on_the_main_thread)
     with pytest.raises(ValueError, match="^main lane$"):
-        dynamics._in_lanes(2 * dynamics._MIN_LANE, lane)
-    assert ended == [dynamics._MIN_LANE]
+        step(initial_point(2 * dynamics._MIN_LANE, 1.0), LOGN, GrowthPolicy.linear(), 0)
+    assert len(failed) == 1 and sorted(failed + ended) == [0, dynamics._MIN_LANE // BLOCK]
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
@@ -243,6 +337,21 @@ def test_worker_lanes_keep_the_callers_errstate(monkeypatch):
     huge = PopulationState(np.full(2 * dynamics._MIN_LANE, 1e308), 0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         step(huge, LOGN, GrowthPolicy.linear(), 0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        list(simulate(huge, LOGN, GrowthPolicy.linear(), 1, 0))  # a step begun ahead too
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * dynamics._MIN_LANE + 1])
+def test_a_step_that_cannot_begin_fails_after_its_state(monkeypatch, n):
+    # the mean overflows, so beta_0 = c * mu_0 is not finite: state 0 is
+    # still yielded, and the step after it raises, begun ahead or not
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 1 if n < 2 * dynamics._MIN_LANE else 2)
+    states = simulate(PopulationState(np.full(n, 1e308), 0), LOGN,
+                      GrowthPolicy.proportional(0.05), 2, 0)
+    with np.errstate(over="ignore"):
+        assert next(states).t == 0
+        with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+            next(states)
 
 
 def test_deterministic_step_hand_values():
