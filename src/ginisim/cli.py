@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: the simulator picks its own lanes "
-                            "(README, Performance). Kept while perfbench/run.py passes it")
+                       help="accepted and ignored: one lane per usable CPU draws each step's "
+                            "state-free noise a step ahead (README, Performance). Kept while "
+                            "perfbench/run.py passes it")
         p.add_argument("--out", help="output path")
         p.set_defaults(func=func)
 

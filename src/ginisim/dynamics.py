@@ -14,11 +14,13 @@ Growth policies come in the two salary regimes a config can express:
 
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
-bit-identical trajectories.  A large step runs in lanes, one per usable
-CPU, that claim chunks of whole blocks, and `simulate` begins it while the
-caller still measures the state before it.  Neither the CPU count, nor
-which lane drew a chunk, nor the CLI's ``--threads`` flag (accepted and
-ignored) changes a byte.
+bit-identical trajectories.  A step is x' = (alpha * W) * x + beta_t, and
+its factor alpha * W does not depend on the state: in a large population,
+lanes, one per usable CPU, claim chunks of whole blocks of it, and
+`simulate` has them draw it one step ahead, while the caller still
+measures the state before it.  Neither the CPU count, nor which lane drew
+a chunk, nor the CLI's ``--threads`` flag (accepted and ignored) changes a
+byte.
 
 `trajectory` is the one loop from a RunConfig to measured rows; `run`
 adds the bound records and the coefficients on top of it.
@@ -41,7 +43,6 @@ from .kernels import (
     LOGNORMAL,
     KernelSpec,
     conditional_mean,
-    transition_from_uniforms,
     unit_mean_noise,
 )
 
@@ -132,96 +133,108 @@ def _claim(starts, n: int, lane) -> None:
         lane(lo, min(lo + _MIN_LANE, n))
 
 
-class _Step:
-    """One step, begun: the lane workers draw it while the beginner goes on.
+class _Factor:
+    """Step t's state-free factor alpha * W, begun: the lane workers draw it ahead of its state.
 
-    Agent i's draw depends only on (master_seed, pop.t, i).  Each worker, in
-    a copy of the beginner's context (numpy's errstate with it), claims
-    chunks into one result; in one lane the whole step runs as it begins.
-    `finish` claims chunks here too, waits for every worker, raises a
-    chunk's exception unchanged and returns the state; `wait` only waits.
+    Agent i's factor depends only on (master_seed, t, i), not on the wealth
+    it will multiply: alpha_t is the kernel's alpha under every policy.  The
+    beginner's thread allocates the one buffer; each worker, in a copy of the
+    beginner's context (numpy's errstate with it), claims chunks of it until
+    none is left, so a worker's task is finite and never waits for the taker.
     """
 
-    def __init__(self, pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-                 master_seed: int):
-        k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
-        if policy.salary_fraction is not None:
-            alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
-            k_t = replace(kernel, alpha=alpha, beta=beta)
-        self.t, self.futures = pop.t + 1, []
-        if kernel.family == DETERMINISTIC:
-            self.new = conditional_mean(k_t, pop.wealth)
-            return
-        new = self.new = np.empty(pop.n)
+    def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, lanes: int):
+        out, r = np.empty(n), kernel.gamma_disp / kernel.alpha
 
-        def lane(lo: int, hi: int) -> None:
-            u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, pop.t, hi - lo,
+        def chunk(lo: int, hi: int) -> None:
+            u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, t, hi - lo,
                                          lo // streams.BLOCK)
-            transition_from_uniforms(k_t, pop.wealth[lo:hi], u, new[lo:hi])
-        k = _lane_count(pop.n)
-        if k == 1:  # the dispatch and its CPU count cost a step at N = 1e4 about 4%
-            return lane(0, pop.n)
+            w = unit_mean_noise(kernel.family, r, u, out[lo:hi])
+            w *= kernel.alpha
+        starts = iter(range(0, n, _MIN_LANE))
+        self.out, self.claim, self.futures = out, lambda lane=chunk: _claim(starts, n, lane), []
+        if lanes == 1:  # no pool: the futures machinery cost a step at N = 1e4 about 4%
+            return
         pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
-        while len(pools) < k - 1:  # a race between stepping threads only adds an idle one
+        while len(pools) < lanes - 1:  # a race between stepping threads only adds an idle one
             from concurrent.futures import ThreadPoolExecutor  # imported once a step splits
 
             pools.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="ginisim-lane"))
-        starts = iter(range(0, pop.n, _MIN_LANE))
-        self.claim = lambda: _claim(starts, pop.n, lane)
         self.futures = [pool.submit(contextvars.copy_context().run, self.claim)
-                        for pool in pools[:k - 1]]
+                        for pool in pools[:lanes - 1]]
 
-    def wait(self) -> None:
-        for future in self.futures:
-            future.exception()  # waits: no worker outlives the step
+    def take(self) -> np.ndarray:
+        """Draw the chunks still unclaimed here, wait for every worker, return the factor.
 
-    def finish(self) -> PopulationState:
+        A chunk's exception is raised unchanged, once no worker writes the buffer.
+        """
         try:
-            if self.futures:
-                self.claim()
+            self.claim()
         finally:
-            self.wait()
-        for future in self.futures:
-            future.result()
-        self.new.flags.writeable = False  # fresh: the next state takes it without a copy
-        return PopulationState(self.new, self.t)
+            errors = [exc for f in self.futures if (exc := f.exception())]  # waits
+        if errors:
+            raise errors[0]
+        return self.out
+
+    def drop(self) -> None:
+        """Leave the chunks still unclaimed undrawn, cancel the tasks not started, wait for the rest."""
+        self.claim(lambda lo, hi: None)
+        for f in self.futures:
+            f.cancel() or f.exception()
 
 
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
-         master_seed: int, _pool=None) -> PopulationState:
-    """Advance the whole ensemble one time step: begin it (`_Step`), then finish it.
+         master_seed: int, _factor=None) -> PopulationState:
+    """Advance the whole ensemble one time step: x' = (alpha * W) * x + beta_t.
 
-    A `_Step` that `simulate` began from ``pop`` is finished instead; any other
-    fifth argument (perfbench/ passes a thread pool) is ignored, like ``--threads``.
+    On this thread and in this order: beta_t (from the state's mean under a
+    proportional policy); the factor alpha * W of step ``pop.t``, taken (the
+    `_Factor` that `simulate` began ahead, or one begun here); then
+    ``*= x, += beta_t`` in place, the operations of
+    `kernels.transition_from_uniforms` in its order.  Any other fifth
+    argument (perfbench/ passes a thread pool) is ignored, like ``--threads``.
     """
-    return (_pool if isinstance(_pool, _Step) else _Step(pop, kernel, policy, master_seed)).finish()
+    k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
+    if policy.salary_fraction is not None:
+        alpha, beta = policy.linear_coefficients(float(metrics._average(pop.wealth)), kernel)
+        k_t = replace(kernel, alpha=alpha, beta=beta)
+    if kernel.family == DETERMINISTIC:
+        new = conditional_mean(k_t, pop.wealth)
+    else:
+        factor = _factor if isinstance(_factor, _Factor) else _Factor(
+            kernel, pop.t, pop.n, master_seed, _lane_count(pop.n))
+        new = factor.take()
+        new *= pop.wealth
+        new += k_t.beta
+    new.flags.writeable = False  # fresh: the next state takes it without a copy
+    return PopulationState(new, pop.t + 1)
 
 
 def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
              steps: int, master_seed: int) -> Iterator[PopulationState]:
     """Yield the initial state and each of the `steps` successor states.
 
-    With lane workers, each next step is begun before a state's yield, so
-    it is drawn while the caller measures that state; `step` finishes it,
-    or raises in its turn the error of a step that could not begin.
+    With lane workers, each step's factor is begun one step ahead: step 0's
+    before state 0 is yielded, step t + 1's when step t's turn comes.  So the
+    workers draw it while the caller measures the state before it, and
+    `step` takes it.  No factor is begun past the last step, and a run that
+    is closed or left draws no further chunk and waits for its workers.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    ahead = kernel.family != DETERMINISTIC and _lane_count(pop.n) > 1
-    begun = None
+    lanes = 1 if kernel.family == DETERMINISTIC else _lane_count(pop.n)
+    begun = [_Factor(kernel, pop.t, pop.n, master_seed, lanes)] if lanes > 1 and steps else []
     try:
-        for _ in range(steps):
-            if ahead:
-                try:
-                    begun = _Step(pop, kernel, policy, master_seed)
-                except ValueError:
-                    begun = None
+        for i in range(steps):
             yield pop
-            pop = step(pop, kernel, policy, master_seed, begun)
+            if begun and i + 1 < steps:
+                begun.append(_Factor(kernel, pop.t + 1, pop.n, master_seed, lanes))
+            pop = step(pop, kernel, policy, master_seed, begun[0] if begun else None)
+            del begun[:1]
         yield pop
     finally:
-        if begun is not None:
-            begun.wait()  # an abandoned run leaves no worker writing
+        for factor in begun:  # an abandoned run leaves no worker writing
+            factor.drop()
 
 
 # --- initial conditions -------------------------------------------------

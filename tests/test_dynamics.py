@@ -4,9 +4,11 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -132,16 +134,38 @@ def _chunks_only_on(monkeypatch, who):
 
 
 def _record_begun(monkeypatch):
-    """Record every step begun from here on; return the list."""
+    """Record every step factor begun from here on; return the list."""
     begun = []
 
-    class Recorded(dynamics._Step):
+    class Recorded(dynamics._Factor):
         def __init__(self, *args):
             super().__init__(*args)
             begun.append(self)
 
-    monkeypatch.setattr(dynamics, "_Step", Recorded)
+    monkeypatch.setattr(dynamics, "_Factor", Recorded)
     return begun
+
+
+def _record_chunks(monkeypatch, log, in_worker=lambda t: None):
+    """Append (step, thread) to ``log`` for every chunk of step uniforms drawn from
+    here on; a worker then calls in_worker(step) before it draws the chunk."""
+    draw = streams.indexed_uniforms
+
+    def recorded(master_seed, tag, t, n, first_block=0):
+        if tag == streams.TAG_STEP:
+            log.append((t, threading.current_thread()))
+            if threading.current_thread() is not threading.main_thread():
+                in_worker(t)
+        return draw(master_seed, tag, t, n, first_block)
+
+    monkeypatch.setattr(streams, "indexed_uniforms", recorded)
+
+
+def _wait_for_a_worker_chunk(log, t):
+    deadline, main = time.monotonic() + 10, threading.main_thread()
+    while not any(s == t and who is not main for s, who in list(log)):
+        assert time.monotonic() < deadline, f"no worker drew step {t}"
+        time.sleep(0.001)
 
 
 @pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
@@ -183,7 +207,7 @@ def test_simulate_steps_through_the_module_step(monkeypatch, n):
     states = list(simulate(start, LOGN, GrowthPolicy.proportional(0.05), 4, 3))
     assert len(calls) == 4 and [pop.t for pop in states] == list(range(5))
     assert len(begun) == 4
-    if n > 2 * dynamics._MIN_LANE:  # each step begun ahead, before its state's yield
+    if n > 2 * dynamics._MIN_LANE:  # each factor begun ahead and handed to its step
         assert calls == begun and all(b.futures for b in begun)
     wealth = start.wealth
     for t, pop in enumerate(states[1:]):
@@ -194,34 +218,108 @@ def test_simulate_steps_through_the_module_step(monkeypatch, n):
 @pytest.mark.parametrize("how", ["close", "raise"])
 def test_an_abandoned_run_leaves_no_step_drawing(monkeypatch, how):
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-    begun, draw = _record_begun(monkeypatch), streams.indexed_uniforms
+    begun, log, released = _record_begun(monkeypatch), [], threading.Event()
+    _record_chunks(monkeypatch, log, lambda t: t == 1 and released.wait(10))
 
-    def slow_in_a_worker(*args):  # the begun step still draws when the run is left
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.1)
-        return draw(*args)
+    def leave_while_a_worker_draws():  # a chunk of the step to t = 2, released 0.2 s later
+        _wait_for_a_worker_chunk(log, 1)
+        threading.Timer(0.2, released.set).start()
 
-    monkeypatch.setattr(streams, "indexed_uniforms", slow_in_a_worker)
     start = initial_point(LANE_N, 1.0)
     if how == "close":
         states = simulate(start, LOGN, GrowthPolicy.linear(), 5, 5)
         assert [next(states).t, next(states).t] == [0, 1]
+        leave_while_a_worker_draws()
         states.close()
     else:
         def consume():
             for pop in simulate(start, LOGN, GrowthPolicy.linear(), 5, 5):
                 if pop.t == 1:
+                    leave_while_a_worker_draws()
                     raise RuntimeError("consumer gave up")
 
         with pytest.raises(RuntimeError, match="consumer gave up"):
             consume()
     assert len(begun) == 2 and begun[-1].futures  # the step to t = 2 was under way
     assert all(future.done() for b in begun for future in b.futures)
+    drawn = len(log)
+    time.sleep(0.2)
+    # that step's other chunk is never drawn, and nothing else is after
+    assert len(log) == drawn and [t for t, _ in log].count(1) == 1 and {t for t, _ in log} == {0, 1}
     monkeypatch.undo()
     wealth = start.wealth
     for t, pop in enumerate(list(simulate(start, LOGN, GrowthPolicy.linear(), 3, 5))[1:]):
         wealth = reference.step(wealth, t, LOGN, None, 5)
         assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
+
+
+def test_lanes_draw_at_most_one_step_ahead(monkeypatch):
+    # no chunk of step s is drawn before the caller's turn for step s - 1,
+    # which comes when it asks for state s; meanwhile the workers draw step s
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    log = []
+    _record_chunks(monkeypatch, log)
+    start = initial_point(LANE_N, 1.0)
+    states, wealth = simulate(start, LOGN, GrowthPolicy.proportional(0.05), 6, 5), start.wealth
+    for s in range(7):
+        log.append(("asks for state", s))
+        pop = next(states)
+        if s < 6:  # the caller measures state s
+            _wait_for_a_worker_chunk(log, s)
+        if s:
+            wealth = reference.step(wealth, s - 1, LOGN, 0.05, 5)
+        assert pop.t == s and pop.wealth.tobytes() == wealth.tobytes(), f"state {s}"
+    for i, (t, who) in enumerate(log):
+        if isinstance(t, int):
+            assert log.index(("asks for state", t)) < i, f"step {t} drawn too early by {who.name}"
+
+
+def test_lanes_left_suspended_at_exit_do_not_hang_it():
+    # a run parked at a yield in a global, its next step's factor under way:
+    # the interpreter still exits, quietly, because no worker waits for the run
+    code = """if True:
+        import threading, time
+        from ginisim import dynamics, streams
+        from ginisim.dynamics import GrowthPolicy, initial_point, simulate
+        from ginisim.kernels import KernelSpec
+        draw = streams.indexed_uniforms
+        def slow(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            return draw(*args)
+        streams.indexed_uniforms = slow
+        dynamics._lane_count = lambda n: 2
+        RUN = simulate(initial_point(2 * dynamics._MIN_LANE, 1.0),
+                       KernelSpec("lognormal", 1.02, 0.0, 0.2), GrowthPolicy.linear(), 100, 1)
+        next(RUN), next(RUN)
+    """
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 0 and done.stderr == ""
+
+
+def test_lanes_drawing_ahead_hold_one_buffer_more_at_most(monkeypatch):
+    # the traced peak of a 20-step N = 65536 run, in N-float64 buffers: the
+    # step that drew its factor with its state (begun before the state's
+    # yield) peaked at 3.02 on the same run; the next step's factor adds one
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    n = 16 * BLOCK
+
+    def peak():
+        start = initial_point(n, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in simulate(start, LOGN, GrowthPolicy.proportional(0.05), 20, 3):
+                pass
+            return (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+        finally:
+            tracemalloc.stop()
+
+    peak()  # a first run fills the caches
+    assert peak() <= 3.02 + 1
 
 
 def test_concurrent_callers_share_the_lane_workers(monkeypatch):
@@ -331,20 +429,28 @@ def test_a_failing_lane_returns_only_after_the_others(monkeypatch):
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                     reason="np.errstate is a context variable from numpy 2")
 def test_worker_lanes_keep_the_callers_errstate(monkeypatch):
-    # wealth x*L overflows in every lane; the caller's errstate lets it, so
-    # the state's own check reports it, whichever lane overflowed
+    # wealth x*L overflows; the caller's errstate lets it, so the state's own
+    # check reports it, and every chunk, a worker's too, runs under that errstate
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-    huge = PopulationState(np.full(2 * dynamics._MIN_LANE, 1e308), 0)
+    draw, seen = streams.indexed_uniforms, set()
+
+    def recording_errstate(*args):
+        seen.add((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+        return draw(*args)
+
+    monkeypatch.setattr(streams, "indexed_uniforms", recording_errstate)
+    huge = PopulationState(np.full(4 * dynamics._MIN_LANE, 1e308), 0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         step(huge, LOGN, GrowthPolicy.linear(), 0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        list(simulate(huge, LOGN, GrowthPolicy.linear(), 1, 0))  # a step begun ahead too
+        list(simulate(huge, LOGN, GrowthPolicy.linear(), 1, 0))  # a step drawn ahead too
+    assert {over for _, over in seen} == {"ignore"} and (False, "ignore") in seen
 
 
 @pytest.mark.parametrize("n", [BLOCK + 1, 2 * dynamics._MIN_LANE + 1])
 def test_a_step_that_cannot_begin_fails_after_its_state(monkeypatch, n):
     # the mean overflows, so beta_0 = c * mu_0 is not finite: state 0 is
-    # still yielded, and the step after it raises, begun ahead or not
+    # still yielded, and the step after it raises, drawn ahead or not
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 1 if n < 2 * dynamics._MIN_LANE else 2)
     states = simulate(PopulationState(np.full(n, 1e308), 0), LOGN,
                       GrowthPolicy.proportional(0.05), 2, 0)
@@ -352,6 +458,20 @@ def test_a_step_that_cannot_begin_fails_after_its_state(monkeypatch, n):
         assert next(states).t == 0
         with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
             next(states)
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * dynamics._MIN_LANE])
+def test_a_coefficient_error_of_any_type_follows_its_state_in_any_lanes(monkeypatch, n):
+    # errstate turns the overflowing mean into a FloatingPointError, not a
+    # ValueError: it too is raised in step 0's turn, after state 0
+    start = PopulationState(np.full(n, 1e305), 0)
+    for lanes in (1, 2):
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: lanes)
+        rows = []
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            for pop in simulate(start, LOGN, GrowthPolicy.proportional(0.05), 3, 0):
+                rows.append(pop.t)
+        assert rows == [0], f"{lanes} lanes"
 
 
 def test_deterministic_step_hand_values():
