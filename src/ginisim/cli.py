@@ -9,8 +9,9 @@ Subcommands:
   chain) with their sampling tolerances; exit 1 on any hard violation.
   The report is `experiments.verify_bounds`.
 * ``verify-integrals``: calibrate the kernel's log-derivative constants
-  and check the whole pair-integral bound chain, in closed form and by
-  quadrature.  The report is `verification.verify_integrals`.
+  and check the whole pair-integral bound chain, all of it in closed form:
+  no subcommand loads scipy.integrate.  The report is
+  `verification.verify_integrals`.
 * ``search-threshold``: bisect the minimal stabilizing salary fraction.
 * ``gini``: Gini and CV of a newline-separated wealth file.
 
@@ -37,7 +38,6 @@ from .experiments import (
 )
 from .verification import (
     NoDensityError,
-    QuadratureError,
     format_report,
     verify_integrals,
 )
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run a trajectory to CSV"),
         ("verify-bounds", cmd_verify_bounds, "gate the trajectory inequalities"),
         ("verify-integrals", cmd_verify_integrals,
-         "check the pair-integral bound chain (closed forms and quadrature)"),
+         "check the pair-integral bound chain in closed form"),
         ("search-threshold", cmd_search_threshold,
          "bisect the minimal stabilizing salary fraction"),
     ):
@@ -260,8 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, AmbiguousProbeError, QuadratureError, ValueError,
-            OSError) as exc:
+    except (BracketError, AmbiguousProbeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,20 +14,20 @@ ordered dict of the printed keys, ending in ``pass`` where the section is
 gated.  `verify_integrals` lists the sections in report order and
 `format_report` prints them; no other result type exists.
 
-Quadrature policy: F needs none.  Both noise families give it in
-closed form, evaluated elementwise over arrays of pairs: lognormal noise
-by Margrabe's exchange-option formula (J. Finance 33, 1978), gamma noise
+Quadrature policy: there is none.  Both noise families give F in closed
+form, evaluated elementwise over arrays of pairs: lognormal noise by
+Margrabe's exchange-option formula (J. Finance 33, 1978), gamma noise
 through Lukacs' theorem that S = V1 + V2 is independent of V2/S ~
-Beta(k, k) (Ann. Math. Stat. 26, 1955).  The stripe functional and the
-extremal normalization are the only quadratures: 1-D adaptive
-integration whose reported numbers carry an error estimate or a
-tolerance.  Each goes through `_quad`, which imports scipy.integrate on
-first use: `config` imports this module for Gamma's calibration, which
-integrates nothing, so a simulation never loads the quadrature stack.
+Beta(k, k) (Ann. Math. Stat. 26, 1955).  Every density handed to the
+stripe functional is a short sum of exponentials in ln y, so its norm,
+its window mass and the functional itself are sums of integrals of
+exponentials, taken exactly.  No subcommand loads scipy.integrate; only
+the tests do, as the oracle of these closed forms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -53,29 +53,13 @@ from .metrics import tail_probability
 _QUAD_TOL = 1e-6           # diagonal slack tolerance, printed as quad_tol
 _TARGET_MASS = 0.99        # calibration quantile of the probe magnitudes
 _CALIBRATION_SAMPLES = 20000
-_STRIPE_EPSREL = 1e-11     # inner window; the outer integral uses 10x
 _SLACK_CONSTANT = 5.0      # minimality threshold Y[h] * (1 - 5*delta)
 _CORE_MASS = 0.99          # pushforward core: conditional mass per agent
 _MIXTURE_BLOCK = 2**15     # agents x grid elements per mixture block: 256 KiB
 
 
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested accuracy."""
-
-
 class NonNormalizedError(ValueError):
     """Raised when a density handed to the functional does not integrate to 1."""
-
-
-def _quad(func, a: float, b: float, **options) -> tuple[float, float]:
-    """`scipy.integrate.quad`, imported on the first call.
-
-    scipy.integrate loads scipy.optimize, linalg, sparse and fft with it
-    (~26 MiB), which only these checks need.
-    """
-    from scipy.integrate import quad
-
-    return quad(func, a, b, **options)
 
 
 # --- restricted pair integral -------------------------------------------
@@ -175,48 +159,72 @@ def calibrate_log_derivative_bound(kernel: KernelSpec, x: float, master_seed: in
 # --- stripe functional and extremal density ------------------------------
 
 
-class DensityOnRay:
-    """Closed-form probability density on (a, infinity).
+def _expm1(z: complex) -> complex:
+    """e^z - 1 without cancellation near z = 0."""
+    em = math.expm1(z.real)
+    return complex(em * math.cos(z.imag) - 2.0 * math.sin(0.5 * z.imag) ** 2,
+                   (em + 1.0) * math.sin(z.imag))
 
-    ``upper`` truncates quadrature; pick it so the neglected tail mass is
-    ~1e-10.  ``extend=True`` evaluates the density below a as well (the
-    cutoff-ignored variant of the functional).
+
+def _value(terms, t: float) -> float:
+    """sum b*e^(kappa*t) over the (b, kappa) terms, which sum to a real value."""
+    return sum(b * cmath.exp(kappa * t) for b, kappa in terms).real
+
+
+def _integral(terms, t0: float, t1: float) -> float:
+    """int_t0^t1 sum b*e^(kappa*t) dt, each term as e^(kappa*t0)*expm1(kappa*(t1-t0))/kappa."""
+    total = 0j
+    for b, kappa in terms:
+        if kappa == 0:
+            total += b * (t1 - t0)
+        else:
+            total += b * cmath.exp(kappa * t0) * _expm1(kappa * (t1 - t0)) / kappa
+    return total.real
+
+
+class DensityOnRay:
+    """Probability density on (a, upper), a short sum of exponentials in ln y.
+
+    ``terms`` are (b, beta) pairs, beta nonzero: t = ln(y/a) has density
+    q(t) = sum b*e^(beta*t), real because complex terms come in conjugate
+    pairs, and y has density q(ln(y/a))/y.  ``upper`` truncates the
+    norm and the functional's outer integral; pick it so the neglected
+    tail mass is ~1e-10.  ``extend=True`` evaluates the density below a
+    as well (the cutoff-ignored variant of the functional).
     """
 
-    def __init__(self, a: float, pdf_fn, upper: float, label: str = "density"):
+    def __init__(self, a: float, terms, upper: float, label: str = "density"):
         if not a > 0.0:
             raise ValueError("lower endpoint a must be positive")
         if not upper > a:
             raise ValueError("upper truncation must exceed a")
         self.a = float(a)
-        self.pdf_fn = pdf_fn
+        self.terms = tuple((complex(b), complex(beta)) for b, beta in terms)
+        if any(beta == 0 for _, beta in self.terms):
+            raise ValueError("every rate beta must be nonzero")
         self.upper = float(upper)
         self.label = label
 
     @classmethod
     def extremal(cls, a: float) -> "DensityOnRay":
-        """The minimizer h(y) = a/y^2; tail mass beyond upper is a/upper."""
-        return cls(a, lambda y: a / (y * y), a * 1e10, label="extremal")
+        """The minimizer h(y) = a/y^2, q(t) = e^-t; tail mass beyond upper is a/upper."""
+        return cls(a, [(1.0, -1.0)], a * 1e10, label="extremal")
 
     def pdf(self, y: float, extend: bool = False) -> float:
         if not extend and y < self.a:
             return 0.0
         if y <= 0.0:
             return 0.0
-        return float(self.pdf_fn(y))
+        return _value(self.terms, math.log(y / self.a)) / y
 
     def validate(self) -> float:
-        """Quadrature normalization check; returns the measured norm."""
-        norm, _ = _quad(
-            lambda t: math.exp(t) * self.pdf(math.exp(t)),
-            math.log(self.a), math.log(self.upper),
-            epsabs=1e-10, epsrel=1e-9, limit=400,
-        )
+        """Normalization check over (a, upper); returns the norm."""
+        norm = _integral(self.terms, 0.0, math.log(self.upper / self.a))
         if abs(norm - 1.0) > 1e-6:
             raise NonNormalizedError(
                 f"{self.label}: integrates to {norm!r} over (a, upper), not 1"
             )
-        return float(norm)
+        return norm
 
 
 def extremal_closed_form(a: float, delta: float) -> float:
@@ -224,86 +232,76 @@ def extremal_closed_form(a: float, delta: float) -> float:
     return a * (math.exp(delta) - math.exp(-delta))
 
 
+def _window_terms(p: DensityOnRay, delta: float) -> list:
+    """W(t) = sum 2b*sinh(beta*delta)/beta * e^(beta*t): the mass of p over
+    (t - delta, t + delta) in t = ln(y/a), wherever the window is not clipped."""
+    return [(2.0 * b * cmath.sinh(beta * delta) / beta, beta) for b, beta in p.terms]
+
+
 def stripe_window(p: DensityOnRay, x: float, delta: float,
                   clip_lower: bool = True) -> float:
-    """Inner mass of p over the window (x*e^-delta, x*e^delta)."""
-    lo = x * math.exp(-delta)
-    hi = x * math.exp(delta)
-    if clip_lower:
-        lo = max(lo, p.a)
-    if hi <= lo:
-        return 0.0
-    extend = not clip_lower
-    val, _ = _quad(lambda y: p.pdf(y, extend=extend), lo, hi,
-                   epsabs=0.0, epsrel=_STRIPE_EPSREL, limit=200)
-    return float(val)
+    """Mass of p over the window (x*e^-delta, x*e^delta)."""
+    t = math.log(x / p.a)
+    if clip_lower and t < delta:
+        return _integral(p.terms, 0.0, max(t + delta, 0.0))
+    return _value(_window_terms(p, delta), t)
 
 
 def stripe_pair_functional(p: DensityOnRay, delta: float,
                            clip_lower: bool = True) -> float:
-    """Nested quadrature of int_a x p(x) [window mass of p at x] dx, a = p.a.
+    """int_a^upper x p(x) [window mass of p at x] dx in closed form, a = p.a.
 
-    ``clip_lower=False`` ignores the lower cutoff in the inner window
-    (closed-form densities only), which is the variant with the exact
-    closed form on the extremal density.  ``p`` is taken as normalised:
-    `DensityOnRay.validate` checks that.
+    In t = ln(x/a) this is a * int_0^T e^t q(t) W(t) dt, T = ln(upper/a),
+    and the window is never cut at upper.  With ``clip_lower`` the window
+    stops at a while t < delta, where W(t) = sum b*(e^(beta*delta)*e^(beta*t)
+    - 1)/beta; above, and everywhere with ``clip_lower=False`` (the
+    variant with the exact closed form on the extremal density), W is
+    `_window_terms`.  Either way the integrand is a sum of exponentials.
+    ``p`` is taken as normalised: `DensityOnRay.validate` checks that.
     """
     if not 0.0 <= delta < 0.2:
         raise ValueError("delta must be in [0, 0.2)")
     if delta == 0.0:
         return 0.0  # empty inner window for any continuous density
-    extend = not clip_lower
 
-    def integrand(t: float) -> float:
-        x = math.exp(t)
-        fx = p.pdf(x, extend=extend)
-        if fx == 0.0:
-            return 0.0
-        return x * x * fx * stripe_window(p, x, delta, clip_lower)
+    def times_outer(window):
+        return [(b * w, 1.0 + beta + kappa) for b, beta in p.terms for w, kappa in window]
 
-    t_lo, t_hi = math.log(p.a), math.log(p.upper)
-    # the window's lower clip disengages at x = p.a * e^delta; that kink
-    # sits in a boundary layer of width delta the adaptive rule can miss
-    # entirely for small delta, so force a subdivision point there
-    kink = math.log(p.a) + delta
-    points = [kink] if clip_lower and t_lo < kink < t_hi else None
-    val, err = _quad(integrand, t_lo, t_hi,
-                     epsabs=0.0, epsrel=_STRIPE_EPSREL * 10.0, limit=400,
-                     points=points)
-    if val != 0.0 and err > 1e-8 * abs(val):
-        raise QuadratureError(
-            f"stripe functional error estimate {err:.3e} too large for value {val:.6e}"
-        )
-    return float(val)
+    big_t = math.log(p.upper / p.a)
+    kink = min(delta, big_t) if clip_lower else 0.0
+    value = _integral(times_outer(_window_terms(p, delta)), kink, big_t)
+    if kink > 0.0:
+        clipped = [(b * cmath.exp(beta * delta) / beta, beta) for b, beta in p.terms]
+        clipped.append((-sum(b / beta for b, beta in p.terms), 0j))
+        value += _integral(times_outer(clipped), 0.0, kink)
+    return p.a * value
 
 
 # --- extremal minimality -------------------------------------------------
 
 
 def truncated_pareto(a: float, c: float) -> DensityOnRay:
-    """p(y) = c*a^c / y^(1+c) on (a, inf); log-derivative magnitude 1 + c."""
+    """p(y) = c*a^c / y^(1+c) on (a, inf), q(t) = c*e^(-ct); log-derivative magnitude 1 + c."""
     if not c > 0.0:
         raise ValueError("tail exponent must be positive")
     upper = a * (1e10 ** (1.0 / c))  # 1e-10 tail quantile
-    return DensityOnRay(a, lambda y: c * a**c / y ** (1.0 + c), upper,
-                        label=f"pareto_c={c:g}")
+    return DensityOnRay(a, [(c, -c)], upper, label=f"pareto_c={c:g}")
 
 
 def rippled_extremal(a: float, m: float, omega: float) -> DensityOnRay:
     """Extremal shape modulated by a log-periodic ripple, renormalized.
 
-    Log-derivative magnitude is at most 2 + m*omega/(1 - m), so trials
-    stay inside any generous hypothesis bound for moderate (m, omega).
+    q(t) = e^-t (1 + m*sin(omega*t)) / norm, with the sine as the
+    conjugate pair m/(2i*norm) * e^((-1 +- i*omega)*t).  Log-derivative
+    magnitude is at most 2 + m*omega/(1 - m), so trials stay inside any
+    generous hypothesis bound for moderate (m, omega).
     """
     if not 0.0 <= m < 1.0:
         raise ValueError("ripple amplitude must be in [0, 1)")
     norm = 1.0 + m * omega / (1.0 + omega * omega)
-
-    def fn(y: float) -> float:
-        t = math.log(y / a)
-        return (a / (y * y)) * (1.0 + m * math.sin(omega * t)) / norm
-
-    return DensityOnRay(a, fn, a * 1e10, label=f"ripple_m={m:.3g}_w={omega:.3g}")
+    ripple = m / (2j * norm)
+    terms = [(1.0 / norm, -1.0), (ripple, complex(-1.0, omega)), (-ripple, complex(-1.0, -omega))]
+    return DensityOnRay(a, terms, a * 1e10, label=f"ripple_m={m:.3g}_w={omega:.3g}")
 
 
 def _measured_logderiv(p: DensityOnRay, delta: float, n_points: int = 200) -> float:

@@ -22,9 +22,13 @@ def uniforms(master_seed, tag, t, n):
 
 
 def unit_mean_noise(family, r, u):
-    """W with E[W] = 1 and SD[W] = r: lognormal exp(s*Z - s^2/2), or gamma(1/r^2) * r^2."""
+    """W with E[W] = 1 and SD[W] = r: lognormal exp(s*Z - s^2/2), or gamma(1/r^2) * r^2.
+
+    s^2 = log1p(r^2) is taken of a 0-d array, as the library takes it: numpy's
+    scalar math and its array loop differ in the last bit for some r.
+    """
     if family == LOGNORMAL:
-        s2 = np.log1p(np.float64(r) ** 2)
+        s2 = np.log1p(np.asarray(r, dtype=np.float64) ** 2)
         return np.exp(np.sqrt(s2) * sp.ndtri(u) - s2 / 2)
     return _gamma_quantile(1 / r**2, u) * r**2
 

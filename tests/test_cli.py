@@ -360,30 +360,34 @@ FOOTPRINT_SCRIPT = """\
 import sys
 
 import ginisim.cli
-from ginisim import cli, experiments, verification
+from ginisim import cli, experiments
 from ginisim.config import load_config
 
-config, out = sys.argv[1:]
+config, out, *integrals = sys.argv[1:]
 assert cli.main(["simulate", "--config", config, "--out", out]) == 0
 experiments.gini_cv_series(load_config({
     "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0, "gamma_disp": 0.2},
     "policy": {"mode": "proportional", "salary_fraction": 0.1},
     "population": {"n_agents": 500, "steps": 5},
 }))
-assert "scipy.integrate" not in sys.modules, "a simulation loaded scipy.integrate"
-verification.DensityOnRay.extremal(1.0).validate()
-assert "scipy.integrate" in sys.modules, "the first quadrature did not load scipy.integrate"
+for path in integrals:
+    assert cli.main(["verify-integrals", "--config", path]) == 0
+assert "scipy.integrate" not in sys.modules, "a subcommand loaded scipy.integrate"
 """
 
 
-def test_simulations_never_load_the_quadrature_stack(tmp_path):
+def test_no_subcommand_loads_the_quadrature_stack(tmp_path):
     # a fresh interpreter: this test process has loaded scipy.integrate already
     cfg = write(tmp_path / "five.yaml", Path(noisy_config(tmp_path)).read_text()
                 .replace("steps: 12", "steps: 5"))
+    shipped = Path(cli.__file__).resolve().parents[2] / "configs" / "integrals.yaml"
+    integrals = [write(tmp_path / f"integrals_{family}.yaml", shipped.read_text(encoding="utf-8")
+                       .replace("family: lognormal", f"family: {family}"))
+                 for family in ("lognormal", "gamma")]
     src = str(Path(cli.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, cfg, str(tmp_path / "five.csv")],
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, cfg, str(tmp_path / "five.csv"), *integrals],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": pythonpath})
     assert res.returncode == 0, res.stderr

@@ -1,4 +1,4 @@
-"""Quadrature toolkit: pair integrals, stripe functional, density checks."""
+"""Verification checks: pair integrals, stripe functional, density checks."""
 
 import math
 import tracemalloc
@@ -31,7 +31,9 @@ from ginisim.verification import (
     pair_split_integral,
     pushforward_log_derivative_check,
     random_trial_densities,
+    rippled_extremal,
     stripe_pair_functional,
+    stripe_window,
     truncated_pareto,
     verify_integrals,
 )
@@ -257,17 +259,98 @@ def test_calibration_structure():
         calibrate_log_derivative_bound(spike, x=1.0, master_seed=0)
 
 
+# --- the quadrature oracle of the stripe functional ------------------------
+#
+# Adaptive quadrature of the same integrals, on densities written out as
+# plain functions of y: the window mass, the outer integral with a forced
+# subdivision at the kink where the lower clip stops acting, and the norm.
+
+
+def _oracle_density(pdf, a, clip_lower):
+    """pdf on (0, inf), cut to zero below a when ``clip_lower``."""
+    return (lambda y: pdf(y) if y >= a else 0.0) if clip_lower else pdf
+
+
+def _oracle_window(pdf, a, x, delta, clip_lower=True):
+    lo, hi = x * math.exp(-delta), x * math.exp(delta)
+    if clip_lower:
+        lo = max(lo, a)
+    if hi <= lo:
+        return 0.0
+    value, _ = integrate.quad(_oracle_density(pdf, a, clip_lower), lo, hi,
+                              epsabs=0.0, epsrel=1e-12, limit=200)
+    return value
+
+
+def _oracle_functional(pdf, a, upper, delta, clip_lower=True):
+    def integrand(t):
+        x = math.exp(t)
+        return x * x * pdf(x) * _oracle_window(pdf, a, x, delta, clip_lower)
+
+    t_lo, t_hi = math.log(a), math.log(upper)
+    # the window's lower clip disengages at x = a * e^delta; that kink sits
+    # in a boundary layer of width delta the adaptive rule can miss entirely
+    # for small delta, so force a subdivision point there
+    kink = t_lo + delta
+    points = [kink] if clip_lower and kink < t_hi else None
+    value, err = integrate.quad(integrand, t_lo, t_hi, epsabs=0.0, epsrel=1e-11,
+                                limit=400, points=points)
+    assert err <= 1e-10 * abs(value)
+    return value
+
+
+def _oracle_norm(pdf, a, upper):
+    value, _ = integrate.quad(lambda t: math.exp(t) * pdf(math.exp(t)),
+                              math.log(a), math.log(upper), epsabs=0.0, epsrel=1e-12, limit=400)
+    return value
+
+
+def _pareto_pdf(a, c):
+    return lambda y: c * a**c / y ** (1.0 + c)
+
+
+def _ripple_pdf(a, m, omega):
+    norm = 1.0 + m * omega / (1.0 + omega * omega)
+    return lambda y: (a / (y * y)) * (1.0 + m * math.sin(omega * math.log(y / a))) / norm
+
+
+ORACLE_FAMILIES = ([("pareto", c) for c in (0.5, 0.55, 1.0, 1.5, 3.0)]
+                   + [("ripple", m, omega) for m in (0.0, 0.1, 0.5) for omega in (0.5, 1.7, 3.0)])
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=lambda f: "_".join(map(str, f)))
+def test_closed_forms_match_the_quadrature_oracle(family):
+    for a in (0.5, 1.0, 10.0):
+        if family[0] == "pareto":
+            p, pdf = truncated_pareto(a, family[1]), _pareto_pdf(a, family[1])
+        else:
+            p, pdf = rippled_extremal(a, *family[1:]), _ripple_pdf(a, *family[1:])
+        for y in (0.3 * a, a, 1.7 * a, 40.0 * a):
+            assert p.pdf(y, extend=True) == pytest.approx(pdf(y), rel=1e-12)
+        assert p.validate() == pytest.approx(_oracle_norm(pdf, a, p.upper), rel=1e-9)
+        for delta in (0.001, 0.01, 0.05):
+            for clip_lower in (True, False):
+                for x in a * np.exp([-0.5 * delta, 0.5 * delta, 2.0 * delta, 1.0, 12.0]):
+                    assert stripe_window(p, x, delta, clip_lower) == pytest.approx(
+                        _oracle_window(pdf, a, x, delta, clip_lower), rel=1e-9), (a, delta, x)
+                assert stripe_pair_functional(p, delta, clip_lower) == pytest.approx(
+                    _oracle_functional(pdf, a, p.upper, delta, clip_lower),
+                    rel=1e-9), (a, delta, clip_lower)
+
+
 def test_density_on_ray_validation():
     with pytest.raises(ValueError, match="upper truncation"):
-        DensityOnRay(1.0, lambda y: 1.0, upper=0.5)
+        DensityOnRay(1.0, [(1.0, -1.0)], upper=0.5)
     with pytest.raises(ValueError, match="positive"):
         DensityOnRay.extremal(0.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        DensityOnRay(1.0, [(1.0, 0.0)], upper=2.0)
 
     h = DensityOnRay.extremal(1.0)
     assert h.pdf(0.5) == 0.0          # below the cutoff
     assert h.pdf(0.5, extend=True) == 4.0
     assert h.validate() == pytest.approx(1.0, abs=1e-8)
-    heavy = DensityOnRay(1.0, lambda y: 2.0 / y**2, upper=1e10)
+    heavy = DensityOnRay(1.0, [(2.0, -1.0)], upper=1e10)  # the extremal family at weight 2
     with pytest.raises(NonNormalizedError, match="integrates to"):
         heavy.validate()
 
@@ -289,6 +372,11 @@ def test_stripe_functional_edges():
     assert stripe_pair_functional(h, 0.0) == 0.0
     with pytest.raises(ValueError, match=r"delta must be in \[0, 0.2\)"):
         stripe_pair_functional(h, 0.25)
+    # a support narrower than the window: the clipped piece ends at upper
+    steep = truncated_pareto(1.0, 3000.0)
+    assert math.log(steep.upper) < 0.01
+    assert stripe_pair_functional(steep, 0.01) == pytest.approx(
+        _oracle_functional(_pareto_pdf(1.0, 3000.0), 1.0, steep.upper, 0.01), rel=1e-9)
 
 
 def test_stripe_quadratic_convergence():
@@ -303,12 +391,12 @@ def test_stripe_quadratic_convergence():
 
 
 def test_stripe_narrow_bump_equals_mean():
-    # a bump far above the cutoff whose window always holds all its mass:
-    # the functional collapses to E[X]
-    bump = DensityOnRay(2.95, lambda y: max(20.0 - 400.0 * abs(y - 3.0), 0.0),
-                        upper=3.05, label="bump")
-    val = stripe_pair_functional(bump, 0.05)
-    assert val == pytest.approx(3.0, rel=1e-3)
+    # the oracle on a bump far above the cutoff whose window always holds
+    # all its mass: the functional collapses to E[X]
+    def bump(y):
+        return max(20.0 - 400.0 * abs(y - 3.0), 0.0)
+
+    assert _oracle_functional(bump, 2.95, 3.05, 0.05) == pytest.approx(3.0, rel=1e-3)
 
 
 def test_minimality_report_basics():
@@ -334,7 +422,7 @@ def test_minimality_explicit_pareto_trials():
 
 
 def test_minimality_rejects_an_unnormalized_trial():
-    twice = DensityOnRay(1.0, lambda y: 2.0 / (y * y), upper=1e10, label="twice")
+    twice = DensityOnRay(1.0, [(2.0, -1.0)], upper=1e10, label="twice")
     with pytest.raises(NonNormalizedError, match="twice: integrates to"):
         extremal_minimality_check(1.0, 0.01, [twice])
 
