@@ -16,11 +16,13 @@ Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
 bit-identical trajectories.  A step is x' = (alpha * W) * x + beta_t, and
 its factor alpha * W does not depend on the state: in a large population,
-lanes, one per usable CPU, claim chunks of whole blocks of it, and
-`simulate` has them draw it one step ahead, while the caller still
-measures the state before it.  Neither the CPU count, nor which lane drew
-a chunk, nor the CLI's ``--threads`` flag (accepted and ignored) changes a
-byte.
+lanes (`ginisim.lanes`), one per usable CPU, claim chunks of whole blocks
+of it, and `simulate` has them draw it one step ahead, while the caller
+still measures the state before it.  A chunk of gamma noise evaluates its
+incomplete gamma function on the thread that claimed it, since lanes do
+not nest; in a step of one lane, that evaluation takes lanes of its own.
+Neither the CPU count, nor which lane drew a chunk, nor the CLI's
+``--threads`` flag (accepted and ignored) changes a byte.
 
 `trajectory` is the one loop from a RunConfig to measured rows; `run`
 adds the bound records and the coefficients on top of it.
@@ -28,15 +30,13 @@ adds the bound records and the coefficients on top of it.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import metrics, streams
+from . import lanes, metrics, streams
 from .bounds import step_bound_report
 from .kernels import (
     DETERMINISTIC,
@@ -116,71 +116,37 @@ class GrowthPolicy:
 # a step 22% slower at N = 1e4, 12% faster at N = 4 blocks, 35% at N = 1e5.
 _MIN_LANE = 4 * streams.BLOCK
 
-_pools: dict[int, list] = {}  # pid -> a 1-worker ThreadPoolExecutor per extra lane
-
 
 def _lane_count(n: int) -> int:
     """One lane per usable CPU, as long as each holds ``_MIN_LANE`` agents."""
-    if n < 2 * _MIN_LANE:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, n // _MIN_LANE)
+    return lanes.count(n // _MIN_LANE)
 
 
-def _claim(starts, n: int, lane) -> None:
-    """Call lane(lo, hi) on each ``_MIN_LANE`` chunk whose start lo is claimed from ``starts``."""
-    for lo in starts:  # next() on the shared range iterator is atomic under the GIL
-        lane(lo, min(lo + _MIN_LANE, n))
-
-
-class _Factor:
+class _Factor(lanes.Lanes):
     """Step t's state-free factor alpha * W, begun: the lane workers draw it ahead of its state.
 
     Agent i's factor depends only on (master_seed, t, i), not on the wealth
     it will multiply: alpha_t is the kernel's alpha under every policy.  The
-    beginner's thread allocates the one buffer; each worker, in a copy of the
-    beginner's context (numpy's errstate with it), claims chunks of it until
-    none is left, so a worker's task is finite and never waits for the taker.
+    beginner's thread allocates the one buffer; the lanes claim chunks of
+    ``_MIN_LANE`` agents of it.
     """
 
-    def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, lanes: int):
+    def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, n_lanes: int):
         out, r = np.empty(n), kernel.gamma_disp / kernel.alpha
 
-        def chunk(lo: int, hi: int) -> None:
+        def chunk(lo: int) -> None:
+            hi = min(lo + _MIN_LANE, n)
             u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, t, hi - lo,
                                          lo // streams.BLOCK)
             w = unit_mean_noise(kernel.family, r, u, out[lo:hi])
             w *= kernel.alpha
-        starts = iter(range(0, n, _MIN_LANE))
-        self.out, self.claim, self.futures = out, lambda lane=chunk: _claim(starts, n, lane), []
-        if lanes == 1:  # no pool: the futures machinery cost a step at N = 1e4 about 4%
-            return
-        pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
-        while len(pools) < lanes - 1:  # a race between stepping threads only adds an idle one
-            from concurrent.futures import ThreadPoolExecutor  # imported once a step splits
-
-            pools.append(ThreadPoolExecutor(max_workers=1, thread_name_prefix="ginisim-lane"))
-        self.futures = [pool.submit(contextvars.copy_context().run, self.claim)
-                        for pool in pools[:lanes - 1]]
+        self.out = out
+        super().__init__(range(0, n, _MIN_LANE), chunk, n_lanes)
 
     def take(self) -> np.ndarray:
-        """Draw the chunks still unclaimed here, wait for every worker, return the factor.
-
-        A chunk's exception is raised unchanged, once no worker writes the buffer.
-        """
-        try:
-            self.claim()
-        finally:
-            errors = [exc for f in self.futures if (exc := f.exception())]  # waits
-        if errors:
-            raise errors[0]
+        """Draw the chunks still unclaimed here, wait for every worker, return the factor."""
+        super().take()
         return self.out
-
-    def drop(self) -> None:
-        """Leave the chunks still unclaimed undrawn, cancel the tasks not started, wait for the rest."""
-        self.claim(lambda lo, hi: None)
-        for f in self.futures:
-            f.cancel() or f.exception()
 
 
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
@@ -222,13 +188,13 @@ def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    lanes = 1 if kernel.family == DETERMINISTIC else _lane_count(pop.n)
-    begun = [_Factor(kernel, pop.t, pop.n, master_seed, lanes)] if lanes > 1 and steps else []
+    n_lanes = 1 if kernel.family == DETERMINISTIC else _lane_count(pop.n)
+    begun = [_Factor(kernel, pop.t, pop.n, master_seed, n_lanes)] if n_lanes > 1 and steps else []
     try:
         for i in range(steps):
             yield pop
             if begun and i + 1 < steps:
-                begun.append(_Factor(kernel, pop.t + 1, pop.n, master_seed, lanes))
+                begun.append(_Factor(kernel, pop.t + 1, pop.n, master_seed, n_lanes))
             pop = step(pop, kernel, policy, master_seed, begun[0] if begun else None)
             del begun[:1]
         yield pop

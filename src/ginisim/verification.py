@@ -23,6 +23,10 @@ stripe functional is a short sum of exponentials in ln y, so its norm,
 its window mass and the functional itself are sums of integrals of
 exponentials, taken exactly.  No subcommand loads scipy.integrate; only
 the tests do, as the oracle of these closed forms.
+
+The pushforward mixture is summed in column blocks of the agents x grid
+matrix, claimed by lanes (`ginisim.lanes`), one per usable CPU; each
+column's sum stays within one block, so no byte depends on the lane count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 import numpy as np
 from scipy import special as sp
 
-from . import streams
+from . import lanes, streams
 from .bounds import BoundParams
 from .dynamics import PopulationState, simulate
 from .kernels import (
@@ -454,19 +458,23 @@ def ensemble_gap_bound_check(
 
 def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
                          grid: np.ndarray) -> np.ndarray:
-    """log of mean_i f(g | sources_i) per grid point, in even column blocks.
+    """log of mean_i f(g | sources_i) per grid point, in even column blocks claimed by lanes.
 
-    A block holds about `_MIXTURE_BLOCK` agents x grid elements and at least 4
-    columns (one would sum its agents pairwise, with other rounding), so up to
-    M = 8192 agents the working set is fixed by that budget, whatever M x G.
+    The lanes' blocks together hold about `_MIXTURE_BLOCK` agents x grid
+    elements, and each at least 4 columns (one would sum its agents pairwise,
+    with other rounding), so up to M = 8192 agents the working set is fixed by
+    that budget, whatever M x G and the lane count.
     """
     m_agents = sources.size
+    n_lanes = lanes.count(m_agents * grid.size // _MIXTURE_BLOCK)
+    n_blocks = min(grid.size // 4, -(-m_agents * grid.size * n_lanes // _MIXTURE_BLOCK))
+    blocks = np.array_split(grid, n_blocks)
 
-    def block(g):
-        lp = log_density(kernel, sources[:, None], g[None, :])
-        return sp.logsumexp(lp, axis=0) - math.log(m_agents)
-    n_blocks = min(grid.size // 4, -(-m_agents * grid.size // _MIXTURE_BLOCK))
-    return np.concatenate([block(g) for g in np.array_split(grid, n_blocks)])
+    def block(i: int) -> None:
+        lp = log_density(kernel, sources[:, None], blocks[i][None, :])
+        blocks[i] = sp.logsumexp(lp, axis=0) - math.log(m_agents)
+    lanes.run(range(n_blocks), block, n_lanes)
+    return np.concatenate(blocks)
 
 
 def pushforward_log_derivative_check(

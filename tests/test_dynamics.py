@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from ginisim import dynamics, metrics, streams
+from ginisim import dynamics, lanes, metrics, streams
 from ginisim.config import load_config
 from ginisim.dynamics import (
     GrowthPolicy,
@@ -124,18 +124,6 @@ def test_step_equals_the_plain_reference(family, alpha, beta, r, c, seed, n, sta
 LANE_N = 5 * BLOCK + 123  # not a multiple of BLOCK: the last chunk ends inside a block
 
 
-def _chunks_only_on(monkeypatch, who):
-    """Let only the main thread, or only the workers, claim chunks; return the threads that ran one."""
-    claim, ran = dynamics._claim, set()
-
-    def claim_if(chunks, n, lane):
-        if (threading.current_thread() is threading.main_thread()) == (who == "main"):
-            claim(chunks, n, lambda lo, hi: (ran.add(threading.current_thread()), lane(lo, hi)))
-
-    monkeypatch.setattr(dynamics, "_claim", claim_if)
-    return ran
-
-
 def _record_begun(monkeypatch):
     """Record every step factor begun from here on; return the list."""
     begun = []
@@ -173,21 +161,21 @@ def _wait_for_a_worker_chunk(log, t):
 
 @pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
 @pytest.mark.parametrize("c", [None, 0.05], ids=["linear", "proportional"])
-def test_lane_count_never_changes_a_byte(monkeypatch, family, c):
+def test_lane_count_never_changes_a_byte(monkeypatch, chunks_only_on, family, c):
     kernel = KernelSpec(family=family, alpha=1.02, beta=0.1, gamma_disp=0.3)
     policy = GrowthPolicy.linear() if c is None else GrowthPolicy.proportional(c)
     start = make_initial(LANE_N, "lognormal", 8, mean=1.5, cv=0.8)
     wealth = start.wealth
     for t in range(3):
         wealth = reference.step(wealth, t, kernel, c, 8)
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(dynamics, "_lane_count", lambda n: lanes)
+    for n_lanes in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: n_lanes)
         *_, last = simulate(start, kernel, policy, 3, 8)
-        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{lanes} lanes"
-    assert len(dynamics._pools[os.getpid()]) >= 2  # the last run handed chunks to workers
+        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{n_lanes} lanes"
+    assert len(lanes._pools[os.getpid()]) >= 2  # the last run handed chunks to workers
     for who in ("worker", "main"):  # one thread takes every chunk
         monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-        ran = _chunks_only_on(monkeypatch, who)
+        ran = chunks_only_on(who)
         *_, last = simulate(start, kernel, policy, 3, 8)
         assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{who} only"
         assert len(ran) == 1 and (threading.main_thread() in ran) == (who == "main")
@@ -359,7 +347,7 @@ def test_forked_child_steps_with_its_own_lanes(monkeypatch):
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
     pop = initial_point(2 * dynamics._MIN_LANE + 1, 1.0)
     *_, last = simulate(pop, LOGN, GrowthPolicy.linear(), 2, 42)
-    assert dynamics._pools[os.getpid()]  # the parent's worker exists before the fork
+    assert lanes._pools[os.getpid()]  # the parent's worker exists before the fork
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_last_state, args=(send, pop))
@@ -374,7 +362,7 @@ def test_forked_child_steps_with_its_own_lanes(monkeypatch):
         child.join(10)
 
 
-def test_a_lane_error_aborts_the_run_unchanged(monkeypatch):
+def test_a_lane_error_aborts_the_run_unchanged(monkeypatch, chunks_only_on):
     cfg = load_config({
         "kernel": {"family": "lognormal", "alpha": 1.02, "beta": 0.0, "gamma_disp": 0.2},
         "population": {"n_agents": 2 * dynamics._MIN_LANE + 5, "steps": 6},
@@ -392,7 +380,7 @@ def test_a_lane_error_aborts_the_run_unchanged(monkeypatch):
 
     for who in ("worker", "main"):  # the failing chunk drawn by either thread
         monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
-        ran = _chunks_only_on(monkeypatch, who)
+        ran = chunks_only_on(who)
         monkeypatch.setattr(streams, "indexed_uniforms", failing_in_block_4)
         rows = []
         with pytest.raises(ValueError, match="^simulation aborted at step 3: lane boom$") as info:
@@ -468,13 +456,13 @@ def test_a_coefficient_error_of_any_type_follows_its_state_in_any_lanes(monkeypa
     # errstate turns the overflowing mean into a FloatingPointError, not a
     # ValueError: it too is raised in step 0's turn, after state 0
     start = PopulationState(np.full(n, 1e305), 0)
-    for lanes in (1, 2):
-        monkeypatch.setattr(dynamics, "_lane_count", lambda n: lanes)
+    for n_lanes in (1, 2):
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: n_lanes)
         rows = []
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             for pop in simulate(start, LOGN, GrowthPolicy.proportional(0.05), 3, 0):
                 rows.append(pop.t)
-        assert rows == [0], f"{lanes} lanes"
+        assert rows == [0], f"{n_lanes} lanes"
 
 
 def test_deterministic_step_hand_values():
