@@ -248,7 +248,8 @@ def _cdf_in_lanes(cdf, a: float, xs: np.ndarray) -> np.ndarray:
 
     def chunk(lo: int) -> None:
         cdf(a, xs[lo:lo + _CDF_CHUNK], out=out[lo:lo + _CDF_CHUNK])
-    lanes.run(range(0, xs.size, _CDF_CHUNK), chunk, lanes.count(-(-xs.size // _CDF_CHUNK)))
+    chunks = range(0, xs.size, _CDF_CHUNK)
+    lanes.Lanes(chunks, chunk, lanes.count(len(chunks))).take()
     return out
 
 

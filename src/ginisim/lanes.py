@@ -34,11 +34,12 @@ from scipy import special as sp
 _pools: dict[int, list] = {}  # pid -> a 1-worker ThreadPoolExecutor per extra lane
 
 
-class _Splitting(threading.local):
-    now = False  # whether this thread is a worker, or claims for a job that has workers
+class _Thread(threading.local):
+    splitting = False  # whether this thread is a worker, or claims for a job that has workers
+    errors = None  # on a worker, the scipy.special error state it last set
 
 
-_splitting = _Splitting()
+_here = _Thread()
 
 
 def count(most: int) -> int:
@@ -54,7 +55,7 @@ class Lanes:
 
     def __init__(self, items, work, lanes: int):
         self.items, self.work, self.futures = iter(items), work, []
-        if lanes == 1 or _splitting.now:  # no pool: the futures cost a step at N = 1e4 about 4%
+        if lanes == 1 or _here.splitting:  # no pool: the futures cost a step at N = 1e4 about 4%
             return
         pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
         while len(pools) < lanes - 1:  # a race between beginning threads only adds an idle one
@@ -64,21 +65,23 @@ class Lanes:
         errors = sp.geterr()
 
         def worker() -> None:
-            _splitting.now = True  # a worker's thread begins every job serially
-            with sp.errstate(**errors):
-                self.claim()
+            _here.splitting = True  # a worker's thread begins every job serially
+            if _here.errors != errors:  # set per task, it cost flagship-simulate 1-2%
+                sp.seterr(**errors)
+                _here.errors = errors
+            self.claim()
         self.futures = [pool.submit(contextvars.copy_context().run, worker)
                         for pool in pools[:lanes - 1]]
 
     def claim(self) -> None:
         """Do each item still unclaimed."""
-        outer = _splitting.now
-        _splitting.now = outer or bool(self.futures)
+        outer = _here.splitting
+        _here.splitting = outer or bool(self.futures)
         try:
             for item in self.items:  # next() on a shared range iterator is atomic under the GIL
                 self.work(item)
         finally:
-            _splitting.now = outer
+            _here.splitting = outer
 
     def take(self) -> None:
         """Do the items still unclaimed here and wait for every worker.
@@ -98,8 +101,3 @@ class Lanes:
             pass
         for f in self.futures:
             f.cancel() or f.exception()
-
-
-def run(items, work, lanes: int) -> None:
-    """Begin a job and take it."""
-    Lanes(items, work, lanes).take()

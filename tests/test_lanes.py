@@ -81,7 +81,7 @@ def test_a_worker_lane_raises_under_the_callers_special_errstate(monkeypatch, ch
             _cdf_in_lanes(sp.gammainc, 26.01, xs)
     assert str(in_lanes.value) == str(serial.value)
     assert ran and threading.main_thread() not in ran
-    assert np.isnan(_cdf_in_lanes(sp.gammainc, 26.01, xs)[-1])  # the worker's own state is back
+    assert np.isnan(_cdf_in_lanes(sp.gammainc, 26.01, xs)[-1])  # a later job, the caller's
 
 
 def test_a_gamma_step_of_one_lane_spreads_its_cdf_over_lanes(monkeypatch):
@@ -122,11 +122,11 @@ def test_a_gamma_step_in_lanes_never_nests_them():
         submit, cdf, offered, evaluated = ThreadPoolExecutor.submit, kernels._cdf_in_lanes, [], []
 
         def recorded_submit(pool, *args):
-            offered.append(lanes._splitting.now)
+            offered.append(lanes._here.splitting)
             return submit(pool, *args)
 
         def recorded_cdf(*args):
-            evaluated.append(lanes._splitting.now)
+            evaluated.append(lanes._here.splitting)
             return cdf(*args)
 
         ThreadPoolExecutor.submit, kernels._cdf_in_lanes = recorded_submit, recorded_cdf

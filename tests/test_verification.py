@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy import special as sp
 from scipy.special import ndtri
 
-from ginisim import streams
+from ginisim import streams, verification
 from ginisim.bounds import BoundParams
 from ginisim.config import load_config
 from ginisim.dynamics import PopulationState, initial_lognormal, initial_point
@@ -19,6 +19,7 @@ from ginisim.kernels import (DETERMINISTIC, GAMMA, LOGNORMAL, KernelSpec, NoDens
                              log_density, transition_from_uniforms)
 from ginisim.metrics import tail_probability
 from ginisim.verification import (
+    CoarseGridError,
     DensityOnRay,
     NonNormalizedError,
     _mixture_log_density,
@@ -631,3 +632,26 @@ def test_verify_integrals_report_is_pinned(family):
     text = format_report(verify_integrals(load_config(data))) + "\n"
     golden = ROOT / "tests" / "golden" / f"verify_integrals_{family}.txt"
     assert text == golden.read_text(encoding="utf-8")
+
+
+def test_verify_integrals_halves_the_spacing_of_a_grid_too_coarse(monkeypatch):
+    # at seed 215 the gamma snapshot's 220-point grid fails the stride-2
+    # check, and 439 points pass it; at the golden's seed 42, 220 points do
+    data = yaml.safe_load((ROOT / "configs" / "integrals.yaml").read_text(encoding="utf-8"))
+    data["kernel"]["family"], data["master_seed"] = GAMMA, 215
+    check, tried = verification.pushforward_log_derivative_check, []
+
+    def recorded(pop, kernel, grid, bound):
+        try:
+            section = check(pop, kernel, grid, bound)
+        except CoarseGridError as exc:
+            tried.append((grid.size, str(exc)))
+            raise
+        tried.append((grid.size, "trusted"))
+        return section
+
+    monkeypatch.setattr(verification, "pushforward_log_derivative_check", recorded)
+    sections = dict(verify_integrals(load_config(data)))
+    assert tried == [(220, "grid too coarse: stride-2 derivative disagrees by 11.06%; "
+                           "double the grid resolution"), (439, "trusted")]
+    assert sections["pushforward"]["pass"] and sections["overall"]["pass"]
