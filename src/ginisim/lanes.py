@@ -66,7 +66,7 @@ class Lanes:
 
         def worker() -> None:
             _here.splitting = True  # a worker's thread begins every job serially
-            if _here.errors != errors:  # set per task, it cost flagship-simulate 1-2%
+            if _here.errors != errors:  # setting it for every task cost flagship-simulate 1-2%
                 sp.seterr(**errors)
                 _here.errors = errors
             self.claim()
