@@ -49,11 +49,14 @@ MIXTURE_KERNELS = (KernelSpec(LOGNORMAL, alpha=1.02, beta=0.0, gamma_disp=0.2),
 
 
 @pytest.mark.parametrize("kernel", MIXTURE_KERNELS, ids=lambda kernel: kernel.family)
-def test_lane_count_never_changes_a_mixture_byte(monkeypatch, chunks_only_on, kernel):
+@pytest.mark.parametrize("m_agents, n_grid", [(2048, 220), (8192, 17)])
+def test_lane_count_never_changes_a_mixture_byte(monkeypatch, chunks_only_on, kernel,
+                                                 m_agents, n_grid):
     # the verify-integrals shape, 2048 agents x 220 grid points: 14 blocks in
-    # one lane, 28 in two, 42 in three
-    sources = np.random.default_rng(11).lognormal(0.0, 0.5, 2048)
-    grid = np.geomspace(kernel.beta + 0.3, kernel.beta + 6.0, 220)
+    # one lane, 28 in two, 42 in three; 8192 x 17: 4 blocks of 4 or 5 columns
+    # in any lane count, the 4-column floor
+    sources = np.random.default_rng(11).lognormal(0.0, 0.5, m_agents)
+    grid = np.geomspace(kernel.beta + 0.3, kernel.beta + 6.0, n_grid)
     _force(monkeypatch, 1)
     serial = _mixture_log_density(kernel, sources, grid).tobytes()
     for n_lanes in (2, 3):
