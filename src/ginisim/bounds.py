@@ -14,8 +14,7 @@ Three groups:
   the maximal tail probability compatible with a non-growing Gini, and
   the tail-complement lower bound on Gini itself.
 * General growth decomposition: the same halting condition expressed
-  through an arbitrary mean-zero redistribution term, plus the
-  substitution showing the additive transfer is one such term.
+  through an arbitrary mean-zero redistribution term.
 """
 
 from __future__ import annotations
@@ -182,32 +181,6 @@ def general_cv_condition(growth_factor: float, mu: float, cv: float,
         + 2.0 * growth_factor * cov_wealth_redist
     )
     return BoundRecord("general_cv", lhs, 0.0, lhs <= 0.0, -lhs)
-
-
-@dataclass(frozen=True)
-class AdaptationMoments:
-    growth_factor: float
-    var_redist: float
-    cov_wealth_redist: float
-
-
-def adaptation_substitution(alpha: float, beta: float, mu: float,
-                            cv: float) -> AdaptationMoments:
-    """Express the linear policy as a general growth decomposition.
-
-    growth factor alpha + beta/mu with redistribution beta*(1 - x/mu),
-    whose moments are Var = beta^2 CV^2 and Cov[x, .] = -beta mu CV^2.
-    Plugging these into general_cv_condition reproduces the linear
-    halting condition exactly (the slacks differ by the positive factor
-    alpha^2 mu^2 CV^2).
-    """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
-    return AdaptationMoments(
-        growth_factor=alpha + beta / mu,
-        var_redist=beta**2 * cv**2,
-        cov_wealth_redist=-beta * mu * cv**2,
-    )
 
 
 def redistribution_variability_lower_bound(params: BoundParams, mu: float,

@@ -158,7 +158,8 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     `_Factor` that `simulate` began ahead, or one begun here); then
     ``*= x, += beta_t`` in place, the operations of
     `kernels.transition_from_uniforms` in its order.  Any other fifth
-    argument (perfbench/ passes a thread pool) is ignored, like ``--threads``.
+    argument (``perfbench/baseline.py`` passes a thread pool) is ignored,
+    like ``--threads``.
     """
     k_t = kernel  # linear mode: the kernel's own coefficients, no mean needed
     if policy.salary_fraction is not None:

@@ -332,24 +332,20 @@ def _gamma_quantile(shape: float, u) -> np.ndarray:
     return x if x.ndim else x[()]
 
 
-def transition_from_uniforms(kernel: KernelSpec, x, u, out=None) -> np.ndarray:
+def transition_from_uniforms(kernel: KernelSpec, x, u) -> np.ndarray:
     """Elementwise x' = x*L + beta with L built from the uniforms u.
 
-    The noise array, fresh or ``out`` (an array of the shape of u and of
-    the result), is scaled and shifted in place; ``x`` and ``u`` are
-    never written.
+    The fresh noise array is scaled and shifted in place; ``x`` and ``u``
+    are never written.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("wealth must be nonnegative")
     if kernel.family == DETERMINISTIC:
-        return np.add(conditional_mean(kernel, x), 0.0 * np.asarray(u), out=out)
-    w = unit_mean_noise(kernel.family, kernel.gamma_disp / kernel.alpha, u, out)
+        return conditional_mean(kernel, x) + 0.0 * np.asarray(u)
+    w = unit_mean_noise(kernel.family, kernel.gamma_disp / kernel.alpha, u)
     w *= kernel.alpha
-    if x.ndim == 0 or np.shape(w) == x.shape:
-        w *= x
-    else:  # x broadcasts the noise up: no buffer of the result's shape yet
-        w = w * x
+    w *= x
     w += kernel.beta
     return w
 

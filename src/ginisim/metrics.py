@@ -113,16 +113,6 @@ def gini(wealth) -> float:
     return snapshot(wealth, 0).gini
 
 
-def gini_pairwise_oracle(wealth) -> float:
-    """Direct O(N^2) double sum; reference for property tests only."""
-    x, _ = _checked(wealth)
-    if x.size > 10_000:
-        raise ValueError("pairwise oracle capped at N = 10^4")
-    mu = _mean(x)
-    diff = np.abs(x[:, None] - x[None, :]).sum()
-    return float(diff / (2.0 * x.size**2 * mu))
-
-
 def coefficient_of_variation(wealth) -> float:
     return snapshot(wealth, 0).cv
 

@@ -85,16 +85,6 @@ def uniforms_from_raw(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def block_uniforms(master_seed: int, tag: int, step: int, block: int, n: int) -> np.ndarray:
-    """Uniform(0,1) draws for one block, independent of all other blocks.
-
-    Builds a fresh generator under the block's key: the reference that
-    `indexed_uniforms`' re-keyed generator must match.
-    """
-    bg = np.random.Philox(key=_key(master_seed, tag, step, block))
-    return uniforms_from_raw(bg.random_raw(n))
-
-
 def indexed_uniforms(master_seed: int, tag: int, step: int, n: int,
                      first_block: int = 0) -> np.ndarray:
     """One uniform per index first_block*BLOCK + 0..n-1, from per-block streams.

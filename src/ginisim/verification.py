@@ -54,7 +54,7 @@ from .metrics import tail_probability
 
 # Fixed tolerances and sizes of the checks; the report prints the ones a
 # reader needs to interpret its numbers.
-_QUAD_TOL = 1e-6           # diagonal slack tolerance, printed as quad_tol
+_DIAG_SLACK_TOL = 1e-6     # diagonal slack tolerance, printed as quad_tol
 _TARGET_MASS = 0.99        # calibration quantile of the probe magnitudes
 _CALIBRATION_SAMPLES = 20000
 _SLACK_CONSTANT = 5.0      # minimality threshold Y[h] * (1 - 5*delta)
@@ -118,7 +118,7 @@ def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float) -> di
     you have no external claim.  Returns the ``diagonal_bound`` section:
     F(x,x) and both slacks per grid point, which pass down to -quad_tol.
     """
-    section = {"gamma_claimed": gamma_claimed, "quad_tol": _QUAD_TOL}
+    section = {"gamma_claimed": gamma_claimed, "quad_tol": _DIAG_SLACK_TOL}
     ok = True
     xs = np.asarray(x_grid, dtype=np.float64)
     for x, f in zip(xs.tolist(), pair_split_integral(kernel, xs, xs).tolist()):
@@ -127,7 +127,7 @@ def diagonal_bound_check(kernel: KernelSpec, x_grid, gamma_claimed: float) -> di
         section[f"f_diag[x={x:g}]"] = f
         section[f"slack_mean_scaled[x={x:g}]"] = slack_mean_scaled
         section[f"slack_x[x={x:g}]"] = slack_x
-        ok = ok and slack_mean_scaled >= -_QUAD_TOL and slack_x >= -_QUAD_TOL
+        ok = ok and slack_mean_scaled >= -_DIAG_SLACK_TOL and slack_x >= -_DIAG_SLACK_TOL
     section["pass"] = ok
     return section
 
@@ -197,8 +197,7 @@ class DensityOnRay:
     q(t) = sum b*e^(beta*t), real because complex terms come in conjugate
     pairs, and y has density q(ln(y/a))/y.  ``upper`` truncates the
     norm and the functional's outer integral; pick it so the neglected
-    tail mass is ~1e-10.  ``extend=True`` evaluates the density below a
-    as well (the cutoff-ignored variant of the functional).
+    tail mass is ~1e-10.
     """
 
     def __init__(self, a: float, terms, upper: float, label: str = "density"):
@@ -218,10 +217,8 @@ class DensityOnRay:
         """The minimizer h(y) = a/y^2, q(t) = e^-t; tail mass beyond upper is a/upper."""
         return cls(a, [(1.0, -1.0)], a * 1e10, label="extremal")
 
-    def pdf(self, y: float, extend: bool = False) -> float:
-        if not extend and y < self.a:
-            return 0.0
-        if y <= 0.0:
+    def pdf(self, y: float) -> float:
+        if y < self.a:
             return 0.0
         return _value(self.terms, math.log(y / self.a)) / y
 
@@ -246,11 +243,10 @@ def _window_terms(p: DensityOnRay, delta: float) -> list:
     return [(2.0 * b * cmath.sinh(beta * delta) / beta, beta) for b, beta in p.terms]
 
 
-def stripe_window(p: DensityOnRay, x: float, delta: float,
-                  clip_lower: bool = True) -> float:
+def stripe_window(p: DensityOnRay, x: float, delta: float) -> float:
     """Mass of p over the window (x*e^-delta, x*e^delta)."""
     t = math.log(x / p.a)
-    if clip_lower and t < delta:
+    if t < delta:
         return _integral(p.terms, 0.0, max(t + delta, 0.0))
     return _value(_window_terms(p, delta), t)
 
@@ -591,9 +587,9 @@ def verify_integrals(config) -> list[tuple[str, dict]]:
     stripe = {}
     for a in config.a_values:
         for d in config.delta_values:
-            quad_val = stripe_pair_functional(DensityOnRay.extremal(a), d, clip_lower=False)
+            value = stripe_pair_functional(DensityOnRay.extremal(a), d, clip_lower=False)
             closed = extremal_closed_form(a, d)
-            rel = abs(quad_val - closed) / closed
+            rel = abs(value - closed) / closed
             max_rel = max(max_rel, rel)
             stripe[f"rel_err[a={a:g},delta={d:g}]"] = rel
     stripe["max_rel_err"] = max_rel

@@ -15,18 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ginisim import cli
-from ginisim.bounds import (adaptation_substitution, cv_halting_condition,
-                            general_cv_condition)
+from ginisim import cli, dynamics
+from ginisim.bounds import cv_halting_condition, general_cv_condition
 from ginisim.config import parse_config
 from ginisim.dynamics import run
 from ginisim.experiments import STABILIZED, classify_trajectory, \
     find_min_stabilizing_salary_fraction, verify_bounds
 from ginisim.kernels import GAMMA, KernelSpec
-from ginisim.metrics import gini, gini_pairwise_oracle
+from ginisim.metrics import gini
 from ginisim.verification import (calibrate_log_derivative_bound,
                                   diagonal_bound_check, extremal_minimality_check,
                                   truncated_pareto, verify_integrals)
+from reference import adaptation_substitution, gini_pairwise_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -272,26 +272,40 @@ def test_11_ensemble_gap_bound(integrals_report):
                  f"vs bound {gap['rhs_bound']:.3g}")
 
 
-def test_12_thread_count_determinism(tmp_path_factory):
-    base = tmp_path_factory.mktemp("threads")
+def test_12_lane_count_determinism(tmp_path_factory, monkeypatch):
+    # N = 40000 is three lane chunks, the last ending inside a block; the
+    # lane count is forced, so the split runs whatever the host's CPU count
+    base = tmp_path_factory.mktemp("lanes")
     cfg = base / "run.yaml"
     cfg.write_text("\n".join([
         "kernel: {family: lognormal, alpha: 1.02, beta: 0.0, gamma_disp: 0.2}",
         "population:",
-        "  n_agents: 10000",
+        "  n_agents: 40000",
         "  steps: 50",
         "  initial: {kind: point, value: 1.0}",
         "master_seed: 42",
     ]) + "\n", encoding="utf-8")
+    workers = []
+
+    class Counted(dynamics._Factor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workers.append(len(self.futures))
+
+    monkeypatch.setattr(dynamics, "_Factor", Counted)
     blobs = []
-    for threads in (1, 4, 8):
-        out = base / f"t{threads}.csv"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--threads", str(threads)]) == 0
-        blobs.append(out.read_bytes())
-    ok = blobs[0] == blobs[1] == blobs[2]
-    assert check(12, "thread count never changes output", ok,
-                 f"1/4/8 threads, {len(blobs[0])} byte trajectory")
+    for n_lanes in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "_lane_count", lambda n: n_lanes)
+        for threads in (1, 4, 8):
+            workers.clear()
+            out = base / f"l{n_lanes}t{threads}.csv"
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                             "--threads", str(threads)]) == 0
+            assert set(workers) == {n_lanes - 1}, (n_lanes, set(workers))
+            blobs.append(out.read_bytes())
+    ok = len(set(blobs)) == 1
+    assert check(12, "lane count and --threads never change output", ok,
+                 f"1/2/3 lanes x 1/4/8 threads, {len(blobs[0])} byte trajectory")
 
 
 def test_13_calibrated_gamma_hypothesis_leak(flagship):

@@ -7,9 +7,7 @@ import pytest
 
 from ginisim import metrics
 from ginisim.bounds import (
-    AdaptationMoments,
     BoundParams,
-    adaptation_substitution,
     cv_growth_lower_bound,
     cv_halting_condition,
     general_cv_condition,
@@ -20,6 +18,7 @@ from ginisim.bounds import (
     saturation_lower_bound,
     step_bound_report,
 )
+from reference import AdaptationMoments, adaptation_substitution
 
 
 def test_bound_params_validation():

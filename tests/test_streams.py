@@ -13,10 +13,10 @@ from ginisim.streams import (
     TAG_INIT,
     TAG_STEP,
     TAG_TRIALS,
-    block_uniforms,
     indexed_uniforms,
     uniforms_from_raw,
 )
+from reference import block_uniforms
 
 
 def test_block_uniforms_deterministic():
