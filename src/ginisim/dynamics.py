@@ -16,11 +16,12 @@ Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
 bit-identical trajectories.  A step is x' = (alpha * W) * x + beta_t, and
 its factor alpha * W does not depend on the state: in a large population,
-lanes (`ginisim.lanes`), one per usable CPU, claim chunks of whole blocks
-of it, and `simulate` has them draw it one step ahead, while the caller
-still measures the state before it.  A chunk of gamma noise evaluates its
-incomplete gamma function on the thread that claimed it, since lanes do
-not nest; in a step of one lane, that evaluation takes lanes of its own.
+lanes (`ginisim.lanes`), one per usable CPU, fill the chunks of whole
+blocks between its cuts, and `simulate` has them draw it one step ahead,
+while the caller still measures the state before it.  A chunk of gamma
+noise evaluates its incomplete gamma function on the thread that claimed
+it, since lanes do not nest; in a step of one lane, that evaluation takes
+lanes of its own.
 Neither the CPU count, nor which lane drew a chunk, nor the CLI's
 ``--threads`` flag (accepted and ignored) changes a byte.
 
@@ -127,26 +128,19 @@ class _Factor(lanes.Lanes):
 
     Agent i's factor depends only on (master_seed, t, i), not on the wealth
     it will multiply: alpha_t is the kernel's alpha under every policy.  The
-    beginner's thread allocates the one buffer; the lanes claim chunks of
-    ``_MIN_LANE`` agents of it.
+    beginner's thread allocates the one buffer and passes it with cuts every
+    ``_MIN_LANE`` agents; `take` returns it.
     """
 
     def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, n_lanes: int):
         out, r = np.empty(n), kernel.gamma_disp / kernel.alpha
 
-        def chunk(lo: int) -> None:
-            hi = min(lo + _MIN_LANE, n)
+        def fill(lo: int, hi: int) -> None:
             u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, t, hi - lo,
                                          lo // streams.BLOCK)
             w = unit_mean_noise(kernel.family, r, u, out[lo:hi])
             w *= kernel.alpha
-        self.out = out
-        super().__init__(range(0, n, _MIN_LANE), chunk, n_lanes)
-
-    def take(self) -> np.ndarray:
-        """Draw the chunks still unclaimed here, wait for every worker, return the factor."""
-        super().take()
-        return self.out
+        super().__init__(out, [*range(0, n, _MIN_LANE), n], fill, n_lanes)
 
 
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,

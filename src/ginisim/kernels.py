@@ -22,9 +22,9 @@ output wealth, and sampled estimates of how much probability mass sits
 where those probes stay within a claimed bound.
 
 The gamma quantile refines its start by Halley steps on the regularised
-incomplete gamma function; each round evaluates it in chunks of
-``_CDF_CHUNK`` elements claimed by lanes (`ginisim.lanes`), one per usable
-CPU.  The evaluation is elementwise, so no byte depends on the lane count.
+incomplete gamma function; each round evaluates it into one array cut
+every ``_CDF_CHUNK`` elements, whose spans lanes (`ginisim.lanes`), one
+per usable CPU, fill.  It is elementwise: no byte depends on the lanes.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class KernelSpec:
         """(m, s) with L = exp(m + s*Z): E[L] = alpha, SD[L] = gamma_disp."""
         if self.family != LOGNORMAL:
             raise ValueError("lognormal parameters only defined for the lognormal family")
-        s2 = math.log1p((self.gamma_disp / self.alpha) ** 2)
-        return math.log(self.alpha) - 0.5 * s2, math.sqrt(s2)
+        s, shift = _lognormal_scale(self.gamma_disp / self.alpha)  # the sampler's own s
+        return math.log(self.alpha) + float(shift), float(s)
 
     def gamma_params(self) -> tuple[float, float]:
         """(shape, scale) of the multiplicative factor, same two moments."""
@@ -243,14 +243,13 @@ def _small_shape_start(a: float, p: np.ndarray) -> np.ndarray:
 
 
 def _cdf_in_lanes(cdf, a: float, xs: np.ndarray) -> np.ndarray:
-    """cdf(a, xs) in a fresh array, its ``_CDF_CHUNK`` element chunks claimed by lanes."""
+    """cdf(a, xs) in a fresh array, cut every ``_CDF_CHUNK`` elements for lanes to fill."""
     out = np.empty_like(xs)
 
-    def chunk(lo: int) -> None:
-        cdf(a, xs[lo:lo + _CDF_CHUNK], out=out[lo:lo + _CDF_CHUNK])
-    chunks = range(0, xs.size, _CDF_CHUNK)
-    lanes.Lanes(chunks, chunk, lanes.count(len(chunks))).take()
-    return out
+    def fill(lo: int, hi: int) -> None:
+        cdf(a, xs[lo:hi], out=out[lo:hi])
+    cuts = [*range(0, xs.size, _CDF_CHUNK), xs.size]
+    return lanes.Lanes(out, cuts, fill, lanes.count(len(cuts) - 1)).take()
 
 
 def _halley(a: float, x: np.ndarray, target: np.ndarray, cdf, sign: float) -> np.ndarray:

@@ -1,25 +1,25 @@
-"""Lanes: one job's items claimed by the calling thread and one pool worker per extra CPU.
+"""Lanes: a job's spans of one array, filled by the calling thread and a worker per extra CPU.
 
-A job is a sequence of items and a function that does one of them.  The
-thread that begins the job and up to lanes - 1 workers, each of its own
-1-worker pool, claim items from one shared iterator until none is left, so
+A job owns an output array and cuts it into spans, the items, between
+consecutive cuts; ``fill(lo, hi)`` writes ``out[lo:hi]`` and nothing else.
+The thread that begins the job and up to lanes - 1 workers, each of its own
+1-worker pool, claim spans from one shared iterator until none is left, so
 a worker's task is finite and never waits for the caller.  Taking the job
-claims the items still left on the caller's thread, waits for every worker
-and raises the first error a worker stored, unchanged.
+fills the spans still left on the caller's thread, waits for every worker,
+raises the first error a worker stored, unchanged, and returns the array.
 
-Each item is a pure function of the job's inputs and writes only its own
-part of the result, so no byte depends on which thread did it or on the
-lane count (the counter-based argument of Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).  A worker runs in a copy of the
-beginner's context, numpy's errstate with it, and under the beginner's
-``scipy.special`` error state, which is thread-local and no context
-carries.  A job begun on a worker's thread, or on a thread that claims
-items of a job with workers, runs on that thread alone: lanes never nest,
-and no worker queues work on its own pool.  Inside a job of one lane, a
-job may still split.
+Each span is a pure function of the job's inputs, so no byte depends on
+which thread filled which span or on the lane count (the counter-based
+argument of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  A worker runs in a copy of the beginner's context, numpy's
+errstate with it, and under the beginner's ``scipy.special`` error state,
+which is thread-local and no context carries.  A job begun on a worker's
+thread, or on a thread that claims spans of a job with workers, runs on
+that thread alone: lanes never nest, and no worker queues work on its own
+pool.  Inside a job of one lane, a job may still split.
 
-Three jobs use them: a step's growth factor (`dynamics`), the regularised
-incomplete gamma function inside `kernels._gamma_quantile`, and the
+Three jobs pass their arrays and cuts: a step's growth factor (`dynamics`),
+the incomplete gamma function inside `kernels._gamma_quantile`, and the
 pushforward mixture's column blocks (`verification`).
 """
 
@@ -51,10 +51,14 @@ def count(most: int) -> int:
 
 
 class Lanes:
-    """A job begun: ``work(item)`` for each of ``items``, claimed by up to ``lanes`` threads."""
+    """A job begun: ``fill(lo, hi)`` writes ``out[lo:hi]`` for each span between ``cuts``.
 
-    def __init__(self, items, work, lanes: int):
-        self.items, self.work, self.futures = iter(items), work, []
+    A fill closes over ``out``, not the job: a cycle would hold the array until a gc pass.
+    """
+
+    def __init__(self, out, cuts, fill, lanes: int):
+        self.out, self.items, self.futures = out, iter(range(len(cuts) - 1)), []
+        self.work = lambda i: fill(cuts[i], cuts[i + 1])
         if lanes == 1 or _here.splitting:  # no pool: the futures cost a step at N = 1e4 about 4%
             return
         pools = _pools.setdefault(os.getpid(), [])  # a forked child's inherited ones have no thread
@@ -74,19 +78,19 @@ class Lanes:
                         for pool in pools[:lanes - 1]]
 
     def claim(self) -> None:
-        """Do each item still unclaimed."""
+        """Fill each span still unclaimed."""
         outer = _here.splitting
         _here.splitting = outer or bool(self.futures)
         try:
-            for item in self.items:  # next() on a shared range iterator is atomic under the GIL
-                self.work(item)
+            for i in self.items:  # next() on a shared range iterator is atomic under the GIL
+                self.work(i)
         finally:
             _here.splitting = outer
 
-    def take(self) -> None:
-        """Do the items still unclaimed here and wait for every worker.
+    def take(self):
+        """Fill the spans still unclaimed here, wait for every worker and return the array.
 
-        An item's exception is raised unchanged, once no worker runs the job.
+        A fill's exception is raised unchanged, once no worker runs the job.
         """
         try:
             self.claim()
@@ -94,10 +98,11 @@ class Lanes:
             errors = [exc for f in self.futures if (exc := f.exception())]  # waits
         if errors:
             raise errors[0]
+        return self.out
 
     def drop(self) -> None:
-        """Leave the items still unclaimed undone, cancel the tasks not started, wait for the rest."""
-        for _ in self.items:  # claimed, so no worker does them
+        """Leave the spans still unclaimed empty, cancel the tasks not begun, wait for the rest."""
+        for _ in self.items:  # claimed, so no worker fills them
             pass
         for f in self.futures:
             f.cancel() or f.exception()

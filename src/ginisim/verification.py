@@ -24,9 +24,10 @@ its window mass and the functional itself are sums of integrals of
 exponentials, taken exactly.  No subcommand loads scipy.integrate; only
 the tests do, as the oracle of these closed forms.
 
-The pushforward mixture is summed in column blocks of the agents x grid
-matrix, claimed by lanes (`ginisim.lanes`), one per usable CPU; each
-column's sum stays within one block, so no byte depends on the lane count.
+The pushforward mixture is summed into one array, whose cuts split the
+agents x grid matrix into column blocks for lanes (`ginisim.lanes`), one
+per usable CPU, to fill; each column's sum stays within one block, so no
+byte depends on the lane count.
 """
 
 from __future__ import annotations
@@ -458,23 +459,22 @@ def ensemble_gap_bound_check(
 
 def _mixture_log_density(kernel: KernelSpec, sources: np.ndarray,
                          grid: np.ndarray) -> np.ndarray:
-    """log of mean_i f(g | sources_i) per grid point, in even column blocks claimed by lanes.
+    """log of mean_i f(g | sources_i) per grid point, cut into even column blocks for lanes.
 
     The lanes' blocks together hold about `_MIXTURE_BLOCK` agents x grid
     elements, and each at least 4 columns (one would sum its agents pairwise,
     with other rounding), so up to M = 8192 agents the working set is fixed by
     that budget, whatever M x G and the lane count.
     """
-    m_agents = sources.size
+    m_agents, out = sources.size, np.empty_like(grid)
     n_lanes = lanes.count(m_agents * grid.size // _MIXTURE_BLOCK)
     n_blocks = min(grid.size // 4, -(-m_agents * grid.size * n_lanes // _MIXTURE_BLOCK))
-    blocks = np.array_split(grid, n_blocks)
 
-    def block(i: int) -> None:
-        lp = log_density(kernel, sources[:, None], blocks[i][None, :])
-        blocks[i] = sp.logsumexp(lp, axis=0) - math.log(m_agents)
-    lanes.Lanes(range(n_blocks), block, n_lanes).take()
-    return np.concatenate(blocks)
+    def fill(lo: int, hi: int) -> None:
+        lp = log_density(kernel, sources[:, None], grid[None, lo:hi])
+        out[lo:hi] = sp.logsumexp(lp, axis=0) - math.log(m_agents)
+    cuts = [0, *np.cumsum([block.size for block in np.array_split(grid, n_blocks)])]
+    return lanes.Lanes(out, cuts, fill, n_lanes).take()
 
 
 def pushforward_log_derivative_check(

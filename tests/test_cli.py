@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ginisim import cli, metrics
+from ginisim import cli
 from ginisim import config as config_module
 from ginisim.config import parse_config
 from ginisim.verification import format_report, verify_integrals

@@ -17,6 +17,7 @@ from ginisim.kernels import (
     high_probability_mass,
     log_density,
     _gamma_quantile,
+    _lognormal_scale,
     log_derivative_probe,
     transition_from_uniforms,
     unit_mean_noise,
@@ -70,6 +71,16 @@ def test_moment_matching_identities():
     k, theta = GAMM.gamma_params()
     assert k * theta == pytest.approx(1.02, rel=1e-14)
     assert k * theta**2 == pytest.approx(0.2**2, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, gamma_disp", [(1.02, 0.2), (1.0, 1.296136594301331)])
+def test_the_density_and_the_sampler_share_one_lognormal_law(alpha, gamma_disp):
+    # at r = 1.296136594301331, ln(1 + r^2) in libm and in numpy's array
+    # loop differ by one ulp, so an s of its own would differ from the sampler's
+    k = KernelSpec(family=LOGNORMAL, alpha=alpha, beta=0.0, gamma_disp=gamma_disp)
+    s, shift = _lognormal_scale(gamma_disp / alpha)
+    law = (math.log(alpha) + float(shift), float(s))
+    assert [x.hex() for x in k.lognormal_params()] == [x.hex() for x in law]
 
 
 def test_deterministic_sample_is_exact():

@@ -5,8 +5,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ginisim.streams import (
     BLOCK,
