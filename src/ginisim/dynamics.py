@@ -15,12 +15,13 @@ Growth policies come in the two salary regimes a config can express:
 Reproducibility contract: every agent draw is keyed by
 (master_seed, step, agent block), see `streams`.  The same seed gives
 bit-identical trajectories.  A step is x' = (alpha * W) * x + beta_t, and
-its factor alpha * W does not depend on the state: in a large population,
-lanes (`ginisim.lanes`), one per usable CPU, fill the chunks of whole
-blocks between its cuts, and `simulate` has them draw it one step ahead,
-while the caller still measures the state before it.  A chunk of gamma
+its factor alpha * W does not depend on the state, so lanes
+(`ginisim.lanes`), one per usable CPU, draw it while the caller still
+measures the states before it: `simulate` begins one job ahead.  A job is
+one step of a large population, cut into chunks of whole blocks, or many
+steps of a small one, cut into spans of whole steps.  A span of gamma
 noise evaluates its incomplete gamma function on the thread that claimed
-it, since lanes do not nest; in a step of one lane, that evaluation takes
+it, since lanes do not nest; in a job of one lane, that evaluation takes
 lanes of its own.
 Neither the CPU count, nor which lane drew a chunk, nor the CLI's
 ``--threads`` flag (accepted and ignored) changes a byte.
@@ -116,6 +117,8 @@ class GrowthPolicy:
 # A lane's agents at least, and a chunk's.  Two lanes against one, on 2 vCPUs:
 # a step 22% slower at N = 1e4, 12% faster at N = 4 blocks, 35% at N = 1e5.
 _MIN_LANE = 4 * streams.BLOCK
+# The spans of a job of many steps: with 4 the threshold probes gained nothing stable.
+_SPANS = 8
 
 
 def _lane_count(n: int) -> int:
@@ -123,24 +126,47 @@ def _lane_count(n: int) -> int:
     return lanes.count(n // _MIN_LANE)
 
 
-class _Factor(lanes.Lanes):
-    """Step t's state-free factor alpha * W, begun: the lane workers draw it ahead of its state.
+def _span_steps(n: int) -> int:
+    """Whole steps per span of a job over n agents, to draw ``_MIN_LANE`` at least.
 
-    Agent i's factor depends only on (master_seed, t, i), not on the wealth
-    it will multiply: alpha_t is the kernel's alpha under every policy.  The
-    beginner's thread allocates the one buffer and passes it with cuts every
-    ``_MIN_LANE`` agents; `take` returns it.
+    0 from ``_MIN_LANE`` agents on: a job is then one step, cut every ``_MIN_LANE`` agents.
+    """
+    return -(-_MIN_LANE // n) if n < _MIN_LANE else 0
+
+
+class _Factor(lanes.Lanes):
+    """The state-free factors alpha * W of steps t to t + steps - 1, begun: lanes draw them ahead.
+
+    Agent i's factor at step s depends only on (master_seed, s, i), not on
+    the wealth it will multiply: alpha_t is the kernel's alpha under every
+    policy.  The beginner's thread allocates the one buffer, step s's
+    factors at ``[(s - t) * n, (s - t + 1) * n)``, and cuts it every
+    ``_MIN_LANE`` agents of a step, or below that many agents into spans of
+    `_span_steps` whole steps.  A span of whole steps draws their uniforms
+    into its part of the buffer, step by step, and makes one noise call and
+    one ``*= alpha`` over all of them.  `take` returns the buffer.
     """
 
-    def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, n_lanes: int):
-        out, r = np.empty(n), kernel.gamma_disp / kernel.alpha
+    def __init__(self, kernel: KernelSpec, t: int, n: int, master_seed: int, n_lanes: int,
+                 steps: int = 1):
+        size, r = steps * n, kernel.gamma_disp / kernel.alpha
+        out = np.empty(size)
+        self.t, self.end = t, t + steps
 
         def fill(lo: int, hi: int) -> None:
-            u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, t, hi - lo,
-                                         lo // streams.BLOCK)
-            w = unit_mean_noise(kernel.family, r, u, out[lo:hi])
+            w = out[lo:hi]
+            if hi - lo <= n:  # inside one step
+                u = streams.indexed_uniforms(master_seed, streams.TAG_STEP, t + lo // n, hi - lo,
+                                             lo % n // streams.BLOCK)
+            else:  # whole steps, transformed in place
+                u = w
+                for i in range(0, hi - lo, n):
+                    w[i:i + n] = streams.indexed_uniforms(master_seed, streams.TAG_STEP,
+                                                          t + (lo + i) // n, n)
+            unit_mean_noise(kernel.family, r, u, w)
             w *= kernel.alpha
-        super().__init__(out, [*range(0, n, _MIN_LANE), n], fill, n_lanes)
+        stride = _span_steps(n) * n or _MIN_LANE
+        super().__init__(out, [*range(0, size, stride), size], fill, n_lanes)
 
 
 def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
@@ -148,10 +174,11 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
     """Advance the whole ensemble one time step: x' = (alpha * W) * x + beta_t.
 
     On this thread and in this order: beta_t (from the state's mean under a
-    proportional policy); the factor alpha * W of step ``pop.t``, taken (the
-    `_Factor` that `simulate` began ahead, or one begun here); then
-    ``*= x, += beta_t`` in place, the operations of
-    `kernels.transition_from_uniforms` in its order.  Any other fifth
+    proportional policy); the factor alpha * W of step ``pop.t``, taken (from
+    the `_Factor` that `simulate` began ahead, or one begun here); then
+    ``* x, + beta_t``, the operations of `kernels.transition_from_uniforms`
+    in its order: in place on a one-step job's buffer, or on a fresh array
+    from a step's part of a job of many.  Any other fifth
     argument (``perfbench/baseline.py`` passes a thread pool) is ignored,
     like ``--threads``.
     """
@@ -165,7 +192,11 @@ def step(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
         factor = _factor if isinstance(_factor, _Factor) else _Factor(
             kernel, pop.t, pop.n, master_seed, _lane_count(pop.n))
         new = factor.take()
-        new *= pop.wealth
+        if new.size == pop.n:  # a job of one step: its buffer becomes the state
+            new *= pop.wealth
+        else:
+            lo = (pop.t - factor.t) * pop.n
+            new = np.multiply(new[lo:lo + pop.n], pop.wealth)
         new += k_t.beta
     new.flags.writeable = False  # fresh: the next state takes it without a copy
     return PopulationState(new, pop.t + 1)
@@ -175,27 +206,40 @@ def simulate(pop: PopulationState, kernel: KernelSpec, policy: GrowthPolicy,
              steps: int, master_seed: int) -> Iterator[PopulationState]:
     """Yield the initial state and each of the `steps` successor states.
 
-    With lane workers, each step's factor is begun one step ahead: step 0's
-    before state 0 is yielded, step t + 1's when step t's turn comes.  So the
-    workers draw it while the caller measures the state before it, and
-    `step` takes it.  No factor is begun past the last step, and a run that
-    is closed or left draws no further chunk and waits for its workers.
+    Each step's factor comes from a job (`_Factor`) that lanes draw ahead
+    of its state: one step from ``_MIN_LANE`` agents on, and below that
+    ``_SPANS`` spans of `_span_steps` whole steps, cut short at the last
+    step.  The first job is begun before state 0 is yielded, and job j + 1
+    when the caller first takes job j, in the turn of job j's first step.
+    So the workers draw while the caller measures the states before it,
+    and `step` takes the factor.  At most one job is drawn ahead, no factor
+    past the last step, and a run that is closed or left draws no further
+    span and waits for its workers.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    n_lanes = 1 if kernel.family == DETERMINISTIC else _lane_count(pop.n)
-    begun = [_Factor(kernel, pop.t, pop.n, master_seed, n_lanes)] if n_lanes > 1 and steps else []
+    n, end, begun = pop.n, pop.t + steps, []  # the jobs begun and not done, oldest first
+    per_job = _SPANS * _span_steps(n) or 1
+
+    def begin(t: int) -> None:
+        k = min(per_job, end - t)
+        begun.append(_Factor(kernel, t, n, master_seed, _lane_count(k * n), k))
+
+    if steps and kernel.family != DETERMINISTIC:
+        begin(pop.t)
     try:
-        for i in range(steps):
+        for _ in range(steps):
             yield pop
-            if begun and i + 1 < steps:
-                begun.append(_Factor(kernel, pop.t + 1, pop.n, master_seed, n_lanes))
-            pop = step(pop, kernel, policy, master_seed, begun[0] if begun else None)
-            del begun[:1]
+            job = begun[0] if begun else None
+            if job and pop.t == job.t and job.end < end:
+                begin(job.end)
+            pop = step(pop, kernel, policy, master_seed, job)
+            if job and pop.t == job.end:
+                del begun[0]
         yield pop
     finally:
-        for factor in begun:  # an abandoned run leaves no worker writing
-            factor.drop()
+        for job in begun:  # an abandoned run leaves no worker writing
+            job.drop()
 
 
 # --- initial conditions -------------------------------------------------

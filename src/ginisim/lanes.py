@@ -5,8 +5,9 @@ consecutive cuts; ``fill(lo, hi)`` writes ``out[lo:hi]`` and nothing else.
 The thread that begins the job and up to lanes - 1 workers, each of its own
 1-worker pool, claim spans from one shared iterator until none is left, so
 a worker's task is finite and never waits for the caller.  Taking the job
-fills the spans still left on the caller's thread, waits for every worker,
-raises the first error a worker stored, unchanged, and returns the array.
+fills the spans still left on the caller's thread; once none is left it
+cancels the worker tasks not yet begun, then waits for the rest, raises
+the first error a worker stored, unchanged, and returns the array.
 
 Each span is a pure function of the job's inputs, so no byte depends on
 which thread filled which span or on the lane count (the counter-based
@@ -18,7 +19,8 @@ thread, or on a thread that claims spans of a job with workers, runs on
 that thread alone: lanes never nest, and no worker queues work on its own
 pool.  Inside a job of one lane, a job may still split.
 
-Three jobs pass their arrays and cuts: a step's growth factor (`dynamics`),
+Three jobs pass their arrays and cuts: the growth factors of one step or
+of many small ones (`dynamics`),
 the incomplete gamma function inside `kernels._gamma_quantile`, and the
 pushforward mixture's column blocks (`verification`).
 """
@@ -26,6 +28,7 @@ pushforward mixture's column blocks (`verification`).
 from __future__ import annotations
 
 import contextvars
+import operator
 import os
 import threading
 
@@ -90,12 +93,16 @@ class Lanes:
     def take(self):
         """Fill the spans still unclaimed here, wait for every worker and return the array.
 
-        A fill's exception is raised unchanged, once no worker runs the job.
+        A worker task not yet begun when no span is left is cancelled, not
+        waited for.  A fill's exception is raised unchanged, once no worker
+        runs the job.
         """
         try:
             self.claim()
         finally:
-            errors = [exc for f in self.futures if (exc := f.exception())]  # waits
+            idle = operator.length_hint(self.items) == 0  # a task begun now finds no span
+            errors = [exc for f in self.futures
+                      if not (idle and f.cancel()) and (exc := f.exception())]  # waits
         if errors:
             raise errors[0]
         return self.out

@@ -159,27 +159,62 @@ def _wait_for_a_worker_chunk(log, t):
         time.sleep(0.001)
 
 
-@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
-@pytest.mark.parametrize("c", [None, 0.05], ids=["linear", "proportional"])
-def test_lane_count_never_changes_a_byte(monkeypatch, chunks_only_on, family, c):
+def _check_lane_counts(monkeypatch, chunks_only_on, family, c, n, steps):
     kernel = KernelSpec(family=family, alpha=1.02, beta=0.1, gamma_disp=0.3)
     policy = GrowthPolicy.linear() if c is None else GrowthPolicy.proportional(c)
-    start = make_initial(LANE_N, "lognormal", 8, mean=1.5, cv=0.8)
+    start = make_initial(n, "lognormal", 8, mean=1.5, cv=0.8)
     wealth = start.wealth
-    for t in range(3):
+    for t in range(steps):
         wealth = reference.step(wealth, t, kernel, c, 8)
     for n_lanes in (1, 2, 3):
         monkeypatch.setattr(dynamics, "_lane_count", lambda n: n_lanes)
-        *_, last = simulate(start, kernel, policy, 3, 8)
-        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{n_lanes} lanes"
+        *_, last = simulate(start, kernel, policy, steps, 8)
+        assert last.t == steps and last.wealth.tobytes() == wealth.tobytes(), f"{n_lanes} lanes"
     assert len(lanes._pools[os.getpid()]) >= 2  # the last run handed chunks to workers
     for who in ("worker", "main"):  # one thread takes every chunk
         monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
         ran = chunks_only_on(who)
-        *_, last = simulate(start, kernel, policy, 3, 8)
-        assert last.t == 3 and last.wealth.tobytes() == wealth.tobytes(), f"{who} only"
+        *_, last = simulate(start, kernel, policy, steps, 8)
+        assert last.t == steps and last.wealth.tobytes() == wealth.tobytes(), f"{who} only"
         assert len(ran) == 1 and (threading.main_thread() in ran) == (who == "main")
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
+@pytest.mark.parametrize("c", [None, 0.05], ids=["linear", "proportional"])
+def test_lane_count_never_changes_a_byte(monkeypatch, chunks_only_on, family, c):
+    _check_lane_counts(monkeypatch, chunks_only_on, family, c, LANE_N, 3)
+
+
+@pytest.mark.parametrize("family", [LOGNORMAL, GAMMA])
+@pytest.mark.parametrize("c", [None, 0.05], ids=["linear", "proportional"])
+@pytest.mark.parametrize("n", [BLOCK + 1, 10_000])
+def test_lane_count_never_changes_a_small_population_byte(monkeypatch, chunks_only_on, family,
+                                                          c, n):
+    # jobs of many steps, 32 at BLOCK + 1 agents and 16 at 1e4: 37 steps end
+    # in a shorter job, whose last span is shorter too
+    _check_lane_counts(monkeypatch, chunks_only_on, family, c, n, 37)
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 10_000, LANE_N])
+def test_no_factor_is_drawn_past_the_last_step_or_a_job_ahead(monkeypatch, n):
+    # every step's factor is drawn once, in its chunks, and none of job J
+    # before the caller first takes job J - 1 (in step (J - 1) * per_job's
+    # turn, when it asks for the state after it)
+    monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
+    log, steps = [], 37
+    _record_chunks(monkeypatch, log)
+    per_job = dynamics._SPANS * dynamics._span_steps(n) or 1
+    states = simulate(initial_point(n, 1.0), LOGN, GrowthPolicy.proportional(0.05), steps, 2)
+    for s in range(steps + 1):
+        log.append(("asks for state", s))
+        assert next(states).t == s
+    drawn = [t for t, _ in log if isinstance(t, int)]
+    assert sorted(drawn) == sorted(list(range(steps)) * -(-n // dynamics._MIN_LANE))
+    for i, (t, who) in enumerate(log):
+        if isinstance(t, int) and t >= per_job:
+            first_take = (t // per_job - 1) * per_job
+            assert log.index(("asks for state", first_take + 1)) < i, f"step {t} drawn early"
 
 
 @pytest.mark.parametrize("n", [BLOCK + 1, 2 * dynamics._MIN_LANE + 1])
@@ -197,7 +232,10 @@ def test_simulate_steps_through_the_module_step(monkeypatch, n):
     start = initial_point(n, 1.0)
     states = list(simulate(start, LOGN, GrowthPolicy.proportional(0.05), 4, 3))
     assert len(calls) == 4 and [pop.t for pop in states] == list(range(5))
-    assert len(begun) == 4
+    # the jobs begun cover steps 0-3 exactly once, none past the last, and
+    # each step takes the job that covers it
+    assert [t for b in begun for t in range(b.t, b.end)] == list(range(4))
+    assert all(job in begun and job.t <= t < job.end for t, job in enumerate(calls))
     if n > 2 * dynamics._MIN_LANE:  # each factor begun ahead and handed to its step
         assert calls == begun and all(b.futures for b in begun)
     wealth = start.wealth
@@ -206,42 +244,57 @@ def test_simulate_steps_through_the_module_step(monkeypatch, n):
         assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
 
 
-@pytest.mark.parametrize("how", ["close", "raise"])
-def test_an_abandoned_run_leaves_no_step_drawing(monkeypatch, how):
+def _abandon(monkeypatch, how, n, steps, blocked):
+    """Leave a run of n agents in state 1 while a worker draws step ``blocked``;
+    return the steps of the chunks drawn."""
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 2)
     begun, log, released = _record_begun(monkeypatch), [], threading.Event()
-    _record_chunks(monkeypatch, log, lambda t: t == 1 and released.wait(10))
+    _record_chunks(monkeypatch, log, lambda t: t == blocked and released.wait(10))
 
-    def leave_while_a_worker_draws():  # a chunk of the step to t = 2, released 0.2 s later
-        _wait_for_a_worker_chunk(log, 1)
+    def leave_while_a_worker_draws():  # released 0.2 s later
+        _wait_for_a_worker_chunk(log, blocked)
         threading.Timer(0.2, released.set).start()
 
-    start = initial_point(LANE_N, 1.0)
+    start = initial_point(n, 1.0)
     if how == "close":
-        states = simulate(start, LOGN, GrowthPolicy.linear(), 5, 5)
+        states = simulate(start, LOGN, GrowthPolicy.linear(), steps, 5)
         assert [next(states).t, next(states).t] == [0, 1]
         leave_while_a_worker_draws()
         states.close()
     else:
         def consume():
-            for pop in simulate(start, LOGN, GrowthPolicy.linear(), 5, 5):
+            for pop in simulate(start, LOGN, GrowthPolicy.linear(), steps, 5):
                 if pop.t == 1:
                     leave_while_a_worker_draws()
                     raise RuntimeError("consumer gave up")
 
         with pytest.raises(RuntimeError, match="consumer gave up"):
             consume()
-    assert len(begun) == 2 and begun[-1].futures  # the step to t = 2 was under way
+    assert len(begun) == 2 and begun[-1].futures  # the job of step `blocked` was under way
     assert all(future.done() for b in begun for future in b.futures)
     drawn = len(log)
     time.sleep(0.2)
-    # that step's other chunk is never drawn, and nothing else is after
-    assert len(log) == drawn and [t for t, _ in log].count(1) == 1 and {t for t, _ in log} == {0, 1}
+    assert len(log) == drawn  # nothing is drawn after
     monkeypatch.undo()
     wealth = start.wealth
     for t, pop in enumerate(list(simulate(start, LOGN, GrowthPolicy.linear(), 3, 5))[1:]):
         wealth = reference.step(wealth, t, LOGN, None, 5)
         assert pop.wealth.tobytes() == wealth.tobytes(), f"step {t}"
+    return sorted(t for t, _ in log)
+
+
+@pytest.mark.parametrize("how", ["close", "raise"])
+def test_an_abandoned_run_leaves_no_step_drawing(monkeypatch, how):
+    # step 0's two chunks and the worker's chunk of the step to t = 2; that
+    # step's other chunk is never drawn
+    assert _abandon(monkeypatch, how, LANE_N, 5, 1) == [0, 0, 1]
+
+
+@pytest.mark.parametrize("how", ["close", "raise"])
+def test_an_abandoned_small_run_leaves_no_span_drawing(monkeypatch, how):
+    # at 1e4 agents: job 0 (steps 0-15) and the worker's span of job 1, steps
+    # 16 and 17; job 1's other spans and job 2 (steps 32-39) are never drawn
+    assert _abandon(monkeypatch, how, 10_000, 40, 16) == list(range(18))
 
 
 def test_lanes_draw_at_most_one_step_ahead(monkeypatch):
@@ -315,22 +368,24 @@ def test_lanes_drawing_ahead_hold_one_buffer_more_at_most(monkeypatch):
 
 def test_concurrent_callers_share_the_lane_workers(monkeypatch):
     # four stepping threads hand their lanes to the same two workers, with
-    # a short switch interval to interleave them
+    # a short switch interval to interleave them, one-step jobs and jobs of
+    # many steps (20 steps at 1e4 agents: jobs of 16 and 4)
     monkeypatch.setattr(dynamics, "_lane_count", lambda n: 3)
-    start = initial_point(LANE_N, 1.0)
-    wealth = start.wealth
-    for t in range(3):
-        wealth = reference.step(wealth, t, LOGN, None, 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as callers:
-            runs = [callers.submit(list, simulate(start, LOGN, GrowthPolicy.linear(), 3, 5))
-                    for _ in range(8)]
-            lasts = [run_.result(timeout=60)[-1] for run_ in runs]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(last.wealth.tobytes() == wealth.tobytes() for last in lasts)
+    for n, steps in ((LANE_N, 3), (10_000, 20)):
+        start = initial_point(n, 1.0)
+        wealth = start.wealth
+        for t in range(steps):
+            wealth = reference.step(wealth, t, LOGN, None, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                runs = [callers.submit(list, simulate(start, LOGN, GrowthPolicy.linear(), steps, 5))
+                        for _ in range(8)]
+                lasts = [run_.result(timeout=60)[-1] for run_ in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(last.wealth.tobytes() == wealth.tobytes() for last in lasts), n
 
 
 def _send_last_state(conn, pop):

@@ -142,3 +142,25 @@ def test_a_gamma_step_in_lanes_never_nests_them():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_take_cancels_a_worker_task_that_never_began():
+    # the worker is busy elsewhere and the caller claims every span, so take
+    # returns without waiting for the worker
+    lanes.Lanes(np.zeros(1), [0, 1], lambda lo, hi: None, 2).take()  # the worker exists
+    busy = threading.Event()
+    elsewhere = lanes._pools[os.getpid()][0].submit(busy.wait, 10)
+    out, filled_on = np.zeros(4), set()
+
+    def fill(lo, hi):
+        filled_on.add(threading.current_thread())
+        out[lo:hi] = lo
+
+    try:
+        job = lanes.Lanes(out, [0, 2, 4], fill, 2)
+        assert job.take() is out and out.tolist() == [0, 0, 2, 2]
+        assert job.futures[0].cancelled() and not elsewhere.done()
+        assert filled_on == {threading.main_thread()}
+    finally:
+        busy.set()
+    assert elsewhere.result(10)
